@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 KB = 1024
 MB = 1024 * KB
@@ -215,6 +216,11 @@ class SystemConfig:
         )
 
 
+@lru_cache(maxsize=8)
 def default_config(mode: MemoryMode = MemoryMode.PLANAR) -> SystemConfig:
-    """The Table I configuration in the requested memory mode."""
+    """The Table I configuration in the requested memory mode.
+
+    Memoized: configs are frozen, so every job of a mode shares one
+    instance instead of rebuilding it per cache-key derivation.
+    """
     return SystemConfig().with_mode(mode)

@@ -15,6 +15,7 @@ data route is exactly what distinguishes the platforms.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional
 
 from repro.channel.base import ChannelPort, RouteKind
@@ -264,9 +265,11 @@ class DramOnlySlice(SliceBase):
 class OriginSlice(DramOnlySlice):
     """Origin: small DRAM; non-resident pages fault to the host.
 
-    Page residency uses LRU over the slice's DRAM page frames.  A fault
-    costs host latency + a PCIe page transfer + writing the page into
-    DRAM through the memory channel (the DMA traffic of Fig. 3b).
+    Page residency uses LRU over the slice's DRAM page frames: the
+    resident map is kept in recency order (every touch moves its page
+    to the end), so the victim is its first entry.  A fault costs host
+    latency + a PCIe page transfer + writing the page into DRAM through
+    the memory channel (the DMA traffic of Fig. 3b).
     """
 
     def __init__(
@@ -282,8 +285,8 @@ class OriginSlice(DramOnlySlice):
         self.host = host
         self.page_bytes = cfg.hetero.page_bytes
         self.num_frames = max(1, dram.capacity_bytes // self.page_bytes)
-        self._resident: dict[int, list[int]] = {}  # page -> [tick, dirty]
-        self._tick = 0
+        # page -> dirty, least recently used first.
+        self._resident: OrderedDict[int, bool] = OrderedDict()
         self._c_faults = stats.counter("host.faults")
         self._c_writebacks = stats.counter("host.writebacks")
         self._c_dma_time = stats.counter("host.dma_time_ps")
@@ -338,19 +341,18 @@ class OriginSlice(DramOnlySlice):
 
     def serve(self, addr: int, is_write: bool, now_ps: int) -> int:
         page = addr // self.page_bytes
-        self._tick += 1
         ready = now_ps
-        entry = self._resident.get(page)
-        if entry is not None:
-            entry[0] = self._tick
-        elif len(self._resident) < self.num_frames:
+        resident = self._resident
+        if page in resident:
+            resident.move_to_end(page)
+        elif len(resident) < self.num_frames:
             # Free frames left: the page was staged before kernel launch
             # (bulk host->GPU copy ahead of time), no demand fault.
-            self._resident[page] = [self._tick, False]
+            resident[page] = False
         else:
             ready = self._fault(page, now_ps)
         if is_write:
-            self._resident[page][1] = True
+            resident[page] = True
         return super().serve(addr, is_write, ready)
 
     def _serve_fast_electrical(self, addr: int, is_write: bool, now_ps: int) -> int:
@@ -377,20 +379,17 @@ class OriginSlice(DramOnlySlice):
         ) = self._fp_dram
         dc = self._dc
         page = addr // page_bytes
-        tick = self._tick + 1
-        self._tick = tick
         ready = now_ps
-        entry = resident.get(page)
-        if entry is not None:
-            entry[0] = tick
+        if page in resident:
+            resident.move_to_end(page)
         elif len(resident) < num_frames:
             # Free frames left: the page was staged before kernel launch
             # (bulk host->GPU copy ahead of time), no demand fault.
-            resident[page] = [tick, False]
+            resident[page] = False
         else:
             ready = self._fault(page, now_ps)
         if is_write:
-            resident[page][1] = True
+            resident[page] = True
         # Command beat (demand/data window, inlined); the channel's busy
         # horizon commits once per serve, and the two windows' integer
         # counters merge into single adds (exact for integer-valued
@@ -482,13 +481,12 @@ class OriginSlice(DramOnlySlice):
     def _fault(self, page: int, now_ps: int) -> int:
         self._c_faults.add(1)
         if len(self._resident) >= self.num_frames:
-            victim = min(self._resident, key=lambda p: self._resident[p][0])
-            _, dirty = self._resident.pop(victim)
+            _, dirty = self._resident.popitem(last=False)
             if dirty:
                 # Dirty victim: write the page back to the host first.
                 self._c_writebacks.add(1)
                 now_ps = self.host.transfer(now_ps, self.page_bytes)
-        self._resident[page] = [self._tick, False]
+        self._resident[page] = False
         # Host-side latency + PCIe transfer of the page.
         arrive = self.host.transfer(now_ps, self.page_bytes)
         # DMA the page into DRAM through the memory channel.

@@ -18,11 +18,15 @@ import json
 import logging
 import os
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.config import SystemConfig
 from repro.gpu.gpu import RunResult
 from repro.harness.executor import SimulationJob
+from repro.workloads.registry import get_workload_def
+from repro.workloads.spec import WorkloadDef
 
 log = logging.getLogger("repro.cache")
 
@@ -69,18 +73,24 @@ def write_json_atomic(
 SCHEMA_VERSION = 4
 
 
+# Sub-payload memos.  Both are pure functions of frozen values and are
+# keyed by that value — never by a workload name — so a re-registered
+# workload or a re-recorded trace (its digest is a def param) resolves
+# to a new def and misses.  Callers only serialize the shared dicts.
+_system_payload = lru_cache(maxsize=64)(SystemConfig.to_dict)
+_workload_payload = lru_cache(maxsize=256)(WorkloadDef.fingerprint_payload)
+
+
 def job_fingerprint(job: SimulationJob) -> str:
     """Stable hex digest of everything that determines a job's result."""
-    from repro.workloads.registry import get_workload_def
-
     payload = {
         "schema": SCHEMA_VERSION,
         "platform": job.platform,
         "workload": job.workload,
-        "workload_def": get_workload_def(job.workload).fingerprint_payload(),
+        "workload_def": _workload_payload(get_workload_def(job.workload)),
         "mode": job.mode.value,
         "run_cfg": job.run_cfg.to_dict(),
-        "system": job.resolved_config().to_dict(),
+        "system": _system_payload(job.resolved_config()),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

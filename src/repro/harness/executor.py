@@ -247,7 +247,11 @@ def traces_for(job: SimulationJob, cfg: SystemConfig) -> List[WarpTrace]:
 
 
 def _spill_path_for(key: Tuple, defn) -> Path:
-    """Stable per-process spill path for one resolved trace-set key."""
+    """Stable per-process spill path for one resolved trace-set key.
+
+    The spill is uncompressed JSONL: no other process reads it and it
+    is deleted at exit, so gzip would only cost write time.
+    """
     global _SPILL_DIR
     payload = json.dumps(
         [defn.fingerprint_payload(), list(key[1:])],
@@ -257,7 +261,7 @@ def _spill_path_for(key: Tuple, defn) -> Path:
     if _SPILL_DIR is None:
         _SPILL_DIR = Path(tempfile.mkdtemp(prefix="repro-trace-spill-"))
         atexit.register(shutil.rmtree, _SPILL_DIR, ignore_errors=True)
-    return _SPILL_DIR / f"{digest}.jsonl.gz"
+    return _SPILL_DIR / f"{digest}.jsonl"
 
 
 def source_for(

@@ -12,10 +12,11 @@ irregular gather that gives graph workloads their high APKI and skew
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Iterator, List
+from functools import lru_cache
+from typing import Iterator, List, Set
 
-import networkx as nx
 import numpy as np
 
 from repro.workloads.spec import WorkloadSpec
@@ -51,7 +52,34 @@ class CsrLayout:
         return self.aux_base + v * self.vertex_stride
 
 
-from functools import lru_cache
+def barabasi_albert_adjacency(n: int, m: int, seed: int) -> List[Set[int]]:
+    """Undirected Barabási–Albert graph on ``n`` nodes as adjacency sets.
+
+    Preferential attachment from an ``m``-spoke star: each new node
+    links to ``m`` distinct existing nodes drawn uniformly from the
+    list holding every node once per incident edge.  The draw order —
+    ``random.Random(seed).choice`` into a ``set``, edges and list
+    extension in set iteration order — is networkx's
+    ``barabasi_albert_graph``, so the graphs are edge-for-edge equal.
+    """
+    if m < 1 or m >= n:
+        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
+    rng = random.Random(seed)
+    adj: List[Set[int]] = [set() for _ in range(n)]
+    adj[0].update(range(1, m + 1))
+    for spoke in range(1, m + 1):
+        adj[spoke].add(0)
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: Set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        for t in targets:
+            adj[source].add(t)
+            adj[t].add(source)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return adj
 
 
 @lru_cache(maxsize=8)
@@ -65,11 +93,11 @@ def build_scale_free_csr(
     """Barabási–Albert graph in CSR form, fitted into the footprint."""
     if num_vertices < attach_edges + 1:
         raise ValueError("graph too small for the attachment parameter")
-    graph = nx.barabasi_albert_graph(num_vertices, attach_edges, seed=seed)
+    adjacency = barabasi_albert_adjacency(num_vertices, attach_edges, seed)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     indices_list: List[int] = []
     for v in range(num_vertices):
-        neighbours = sorted(graph.neighbors(v))
+        neighbours = sorted(adjacency[v])
         indices_list.extend(neighbours)
         indptr[v + 1] = len(indices_list)
     indices = np.asarray(indices_list, dtype=np.int64)

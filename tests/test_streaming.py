@@ -262,6 +262,10 @@ def test_spill_built_once_then_reused(monkeypatch):
     assert a.fingerprint() == b.fingerprint()
     assert executor.TRACE_STATS["spill_builds"] == 1
     assert executor.TRACE_STATS["spill_hits"] == 1
+    # The spill is private to this process: plain JSONL, never gzip.
+    (spill,) = executor._SPILL_FILES.values()
+    assert spill.suffix == ".jsonl"
+    assert spill.read_bytes()[:2] != b"\x1f\x8b"
 
 
 def test_small_jobs_use_the_memo(monkeypatch):
