@@ -24,9 +24,12 @@ Usage examples::
     python -m repro.cli perf -o BENCH_perf.json
     python -m repro.cli list
 
-``--jobs N`` fans the experiment's simulation matrix out over N worker
-processes; ``--cache-dir`` persists every result so repeated
-invocations are near-instant (cache hits are logged).  ``export`` emits
+Simulating commands fan their matrix out over one worker process per
+available core; ``--jobs N`` uses N workers instead, and ``--jobs 1``
+runs everything in-process (``repro worker`` alone defaults to 1,
+since workers are themselves the unit of parallelism).
+``--cache-dir`` persists every result so repeated invocations are
+near-instant (cache hits are logged).  ``export`` emits
 an experiment's rows as json or csv via the structured emitters.
 ``perf`` benchmarks the simulator itself (events/sec per calibrated
 case, written to ``BENCH_perf.json``); ``run --profile`` wraps one
@@ -236,7 +239,7 @@ def _make_runner(args: argparse.Namespace) -> Runner:
     if batch_dir:
         # Surface per-shard progress and skip decisions on stderr.
         _enable_log("repro.batch")
-    executor = make_executor(getattr(args, "jobs", 1))
+    executor = make_executor(getattr(args, "jobs", None))
     try:
         return Runner(
             _run_config(args),
@@ -1321,8 +1324,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--accesses", type=int, default=64)
         p.add_argument("--quick", action="store_true", help="small fast run")
         p.add_argument(
-            "--jobs", type=int, default=1,
-            help="worker processes for the simulation matrix (default: 1)",
+            "--jobs", type=_positive_int, default=None,
+            help="worker processes for the simulation matrix "
+            "(default: every available core; 1 runs in-process)",
         )
         p.add_argument(
             "--cache-dir", default=None,
@@ -1567,8 +1571,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="only resume the batch whose id starts with this prefix",
     )
     p_b_resume.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the resumed shards (default: 1)",
+        "--jobs", type=_positive_int, default=None,
+        help="worker processes for the resumed shards "
+        "(default: every available core; 1 runs in-process)",
     )
     p_b_resume.add_argument(
         "--cache-dir", default=None,
@@ -1677,8 +1682,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(rate-limit on shared machines; default: 0)",
     )
     p_worker.add_argument(
-        "--jobs", type=int, default=1,
-        help="executor processes for each leased shard (default: 1)",
+        "--jobs", type=_positive_int, default=1,
+        help="executor processes for each leased shard (default: 1; "
+        "workers are themselves the unit of parallelism)",
     )
     p_worker.add_argument(
         "--max-shards", type=_positive_int, default=None,
@@ -1797,8 +1803,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the audit sizing's accesses per warp",
     )
     p_audit.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the audit matrix (default: 1)",
+        "--jobs", type=_positive_int, default=None,
+        help="worker processes for the audit matrix "
+        "(default: every available core; 1 runs in-process)",
     )
     p_audit.add_argument(
         "--journal", default=None, metavar="PATH",

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from repro.config import SystemConfig
 from repro.gpu.gpu import RunResult
-from repro.harness.executor import SimulationJob
+from repro.harness.executor import RunConfig, SimulationJob
 from repro.workloads.registry import get_workload_def
 from repro.workloads.spec import WorkloadDef
 
@@ -73,26 +73,48 @@ def write_json_atomic(
 SCHEMA_VERSION = 4
 
 
-# Sub-payload memos.  Both are pure functions of frozen values and are
-# keyed by that value — never by a workload name — so a re-registered
-# workload or a re-recorded trace (its digest is a def param) resolves
-# to a new def and misses.  Callers only serialize the shared dicts.
-_system_payload = lru_cache(maxsize=64)(SystemConfig.to_dict)
-_workload_payload = lru_cache(maxsize=256)(WorkloadDef.fingerprint_payload)
+def _canonical(payload) -> str:
+    """The sorted-key, compact JSON text every fingerprint hashes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# Sub-payload memos: each holds the canonical JSON *text* of one frozen
+# value, keyed by that value — never by a workload name — so a
+# re-registered workload or a re-recorded trace (its digest is a def
+# param) resolves to a new def and misses.
+@lru_cache(maxsize=64)
+def _system_text(cfg: SystemConfig) -> str:
+    return _canonical(cfg.to_dict())
+
+
+@lru_cache(maxsize=256)
+def _workload_text(defn: WorkloadDef) -> str:
+    return _canonical(defn.fingerprint_payload())
+
+
+@lru_cache(maxsize=64)
+def _run_cfg_text(run_cfg: RunConfig) -> str:
+    return _canonical(run_cfg.to_dict())
 
 
 def job_fingerprint(job: SimulationJob) -> str:
-    """Stable hex digest of everything that determines a job's result."""
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "platform": job.platform,
-        "workload": job.workload,
-        "workload_def": _workload_payload(get_workload_def(job.workload)),
-        "mode": job.mode.value,
-        "run_cfg": job.run_cfg.to_dict(),
-        "system": _system_payload(job.resolved_config()),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Stable hex digest of everything that determines a job's result.
+
+    The digest covers the canonical JSON of ``{"schema", "platform",
+    "workload", "workload_def", "mode", "run_cfg", "system"}``.  The
+    envelope is spliced by hand, in sorted-key order, around the
+    memoized sub-payload texts, which is byte-for-byte what
+    :func:`_canonical` makes of the whole dict.
+    """
+    canonical = (
+        f'{{"mode":{json.dumps(job.mode.value)}'
+        f',"platform":{json.dumps(job.platform)}'
+        f',"run_cfg":{_run_cfg_text(job.run_cfg)}'
+        f',"schema":{SCHEMA_VERSION}'
+        f',"system":{_system_text(job.resolved_config())}'
+        f',"workload":{json.dumps(job.workload)}'
+        f',"workload_def":{_workload_text(get_workload_def(job.workload))}}}'
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

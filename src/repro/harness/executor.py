@@ -7,10 +7,12 @@ config override) — and :func:`execute_job` turns one into a
 :class:`~repro.gpu.gpu.RunResult` deterministically from scratch.
 
 Executors evaluate whole job batches.  :class:`SerialExecutor` runs them
-in-process; :class:`ParallelExecutor` fans them out over a
-``concurrent.futures.ProcessPoolExecutor``.  Because ``execute_job`` is
-a pure function of the job, both produce bit-identical results, so the
-choice is purely a wall-clock knob.
+in-process; :class:`ParallelExecutor` fans them out over a forked
+``concurrent.futures.ProcessPoolExecutor``, sending each worker whole
+trace-sharing groups of jobs when there are enough of them, so each
+trace set is still built once.  Because ``execute_job`` is a pure
+function of the job, both produce bit-identical results.
+:func:`make_executor` defaults to one worker per available core.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 from concurrent import futures
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -246,22 +249,35 @@ def traces_for(job: SimulationJob, cfg: SystemConfig) -> List[WarpTrace]:
     return _TRACE_MEMO[key]
 
 
+def _spill_dir() -> Path:
+    """This process's spill directory, made (and scheduled for removal
+    at exit) on first use.
+
+    :class:`ParallelExecutor` makes it before forking, so its workers
+    write their spills here too: a forked worker leaves through
+    ``os._exit`` and never runs the ``atexit`` hook itself.
+    """
+    global _SPILL_DIR
+    if _SPILL_DIR is None:
+        _SPILL_DIR = Path(tempfile.mkdtemp(prefix="repro-trace-spill-"))
+        atexit.register(shutil.rmtree, _SPILL_DIR, ignore_errors=True)
+    return _SPILL_DIR
+
+
 def _spill_path_for(key: Tuple, defn) -> Path:
     """Stable per-process spill path for one resolved trace-set key.
 
     The spill is uncompressed JSONL: no other process reads it and it
-    is deleted at exit, so gzip would only cost write time.
+    is deleted at exit, so gzip would only cost write time.  The name
+    carries the pid because pool workers share their parent's
+    directory and may spill the same trace set at once.
     """
-    global _SPILL_DIR
     payload = json.dumps(
         [defn.fingerprint_payload(), list(key[1:])],
         sort_keys=True, separators=(",", ":"),
     )
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
-    if _SPILL_DIR is None:
-        _SPILL_DIR = Path(tempfile.mkdtemp(prefix="repro-trace-spill-"))
-        atexit.register(shutil.rmtree, _SPILL_DIR, ignore_errors=True)
-    return _SPILL_DIR / f"{digest}.jsonl"
+    return _spill_dir() / f"{digest}-{os.getpid()}.jsonl"
 
 
 def source_for(
@@ -395,6 +411,34 @@ class SerialExecutor:
         return out
 
 
+def available_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_task(fn, jobs: Sequence[SimulationJob]) -> List:
+    """One pool task: ``fn`` over ``jobs``, in order, in one worker."""
+    return [fn(job) for job in jobs]
+
+
+def _fork_context():
+    """The pool's start method: fork where the platform offers it.
+
+    Named explicitly because Python 3.14 changes the default.  Imported
+    here, not at module level, so a run that never builds a pool never
+    pays for ``multiprocessing``.
+    """
+    import multiprocessing
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
 class ParallelExecutor:
     """Evaluate jobs concurrently across worker processes.
 
@@ -405,10 +449,31 @@ class ParallelExecutor:
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is None:
-            max_workers = os.cpu_count() or 1
+            max_workers = available_cores()
         if max_workers < 1:
             raise ValueError("need at least one worker")
         self.max_workers = max_workers
+
+    def plan(
+        self, jobs: Sequence[SimulationJob], per_job: bool = False
+    ) -> List[Tuple[SimulationJob, ...]]:
+        """Split the unique ``jobs`` into pool tasks.
+
+        Jobs that share a trace set (same :func:`_trace_key`) form one
+        task when there are at least as many such groups as workers, so
+        each worker builds each of its trace sets once, as a serial run
+        does.  Otherwise, or with ``per_job``, every job is its own task.
+        """
+        unique = list(dict.fromkeys(jobs))
+        if per_job:
+            return [(job,) for job in unique]
+        groups: Dict[Tuple, List[SimulationJob]] = {}
+        for job in unique:
+            key = _trace_key(job, job.resolved_config())
+            groups.setdefault(key, []).append(job)
+        if len(groups) < min(self.max_workers, len(unique)):
+            return [(job,) for job in unique]
+        return [tuple(group) for group in groups.values()]
 
     def run_jobs(
         self, jobs: Sequence[SimulationJob], fn=execute_job, on_result=None
@@ -418,30 +483,43 @@ class ParallelExecutor:
         ``fn`` must be a picklable top-level callable (it crosses the
         process boundary); results must be picklable too.
 
+        Runs in-process, exactly as :class:`SerialExecutor`, when no
+        pool is worth starting: fewer than two tasks, one worker, or
+        other live threads in the caller (forking a threaded process is
+        unsafe).
+
         ``on_result(job, result)`` fires in the *calling* process as
         each unique job's result arrives (completion order, not job
-        order).  A callback exception stops consuming results; jobs
-        already in flight run to completion but their results are
-        discarded.
+        order), and every job is then its own task, so the callback
+        keeps its per-job cadence.  A callback exception stops
+        consuming results; jobs already in flight run to completion but
+        their results are discarded.
         """
         unique = list(dict.fromkeys(jobs))
-        if len(unique) <= 1 or self.max_workers == 1:
+        if (
+            min(self.max_workers, len(unique)) < 2
+            or threading.active_count() > 1
+        ):
             return SerialExecutor().run_jobs(jobs, fn, on_result)
+        tasks = self.plan(unique, per_job=on_result is not None)
+        _spill_dir()
+        results = {}
         with futures.ProcessPoolExecutor(
-            max_workers=min(self.max_workers, len(unique))
+            max_workers=min(self.max_workers, len(tasks)),
+            mp_context=_fork_context(),
         ) as pool:
-            if on_result is None:
-                results = dict(zip(unique, pool.map(fn, unique)))
-            else:
-                futs = {pool.submit(fn, job): job for job in unique}
-                results = {}
-                for fut in futures.as_completed(futs):
-                    job = futs[fut]
-                    results[job] = fut.result()
-                    on_result(job, results[job])
+            futs = {pool.submit(_run_task, fn, task): task for task in tasks}
+            for fut in futures.as_completed(futs):
+                for job, result in zip(futs[fut], fut.result()):
+                    results[job] = result
+                    if on_result is not None:
+                        on_result(job, result)
         return [results[job] for job in jobs]
 
 
-def make_executor(jobs: int = 1):
-    """``jobs`` worker processes; 1 means in-process serial execution."""
+def make_executor(jobs: Optional[int] = None):
+    """``jobs`` worker processes, every available core when ``None``;
+    1 means in-process serial execution."""
+    if jobs is None:
+        jobs = available_cores()
     return SerialExecutor() if jobs <= 1 else ParallelExecutor(jobs)

@@ -1,9 +1,9 @@
 """The experiment service: memoizing front-end over executors + cache.
 
 One :class:`Runner` owns a default :class:`RunConfig` (how big each
-simulation is), an executor (how jobs are evaluated — serially or
-across worker processes) and an optional persistent
-:class:`~repro.harness.cache.ResultCache`.  Per-figure experiment specs
+simulation is), an executor (how jobs are evaluated — by default
+across one worker process per available core, or serially) and an
+optional persistent :class:`~repro.harness.cache.ResultCache`.  Per-figure experiment specs
 submit whole job batches through :meth:`Runner.run_jobs`, so Figs. 16,
 17, 18 and 19 all read the same warm matrix, and a parallel executor
 evaluates the distinct jobs concurrently.
@@ -68,7 +68,7 @@ class Runner:
         shard_size: int = DEFAULT_SHARD_SIZE,
     ) -> None:
         self.run_cfg = run_cfg or RunConfig()
-        self.executor = executor or SerialExecutor()
+        self.executor = executor if executor is not None else make_executor()
         self.batch_dir = Path(batch_dir) if batch_dir is not None else None
         self.shard_size = shard_size
         if cache is None and self.batch_dir is not None:

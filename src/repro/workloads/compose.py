@@ -23,11 +23,12 @@ fingerprintable by the result cache.  Composed members may themselves
 be composed (the registry guards against cycles).
 
 Note on parallel execution: a ``SimulationJob`` ships only the
-workload *name*, and executor worker processes re-import the registry
-fresh — so a composition registered at runtime resolves only in the
-registering process.  Register in a module the workers import (as
-``registry._register_defaults`` does) before fanning out with
-``--jobs N``; serial runners have no such restriction.
+workload *name*.  Forked executor workers inherit the registry as it
+stood when the pool started, so a composition registered at runtime
+resolves in them too; where the platform has no fork, workers
+re-import the registry fresh and only see it if it is registered in a
+module they import (as ``registry._register_defaults`` does).  Serial
+runners (``--jobs 1``) have no such restriction.
 """
 
 from __future__ import annotations

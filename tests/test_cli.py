@@ -253,6 +253,26 @@ class TestServiceFlags:
         args = build_parser().parse_args(["experiment", "fig15", "--jobs", "4"])
         assert args.jobs == 4
 
+    #: Every ``--jobs`` flag, and its default: ``None`` means every
+    #: available core; ``repro worker`` keeps one process per worker.
+    JOBS_FLAGS = (
+        (["experiment", "fig15"], None),
+        (["batch", "resume"], None),
+        (["audit"], None),
+        (["worker"], 1),
+    )
+
+    @pytest.mark.parametrize("argv,default", JOBS_FLAGS)
+    def test_jobs_defaults(self, argv, default):
+        assert build_parser().parse_args(argv).jobs == default
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in JOBS_FLAGS])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_must_be_positive(self, argv, jobs, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--jobs", jobs])
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_cache_dir_flag_parses(self, tmp_path):
         args = build_parser().parse_args(
             ["experiment", "fig15", "--cache-dir", str(tmp_path)]
