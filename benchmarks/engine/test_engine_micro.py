@@ -2,7 +2,7 @@
 
 The perf suite (``repro perf``) reports one headline events/sec number
 per workload; when that regresses, these microbenches localize the loss
-to a layer — the generic heap, the warp lane, or the cache probe —
+to a layer — the warp lane's per-event dispatch or the cache probe —
 without re-profiling the whole model.  Workloads are sized so a round
 finishes in milliseconds; pytest-benchmark's OPS column is the figure
 of merit.
@@ -13,27 +13,12 @@ from __future__ import annotations
 from repro.gpu.cache import SetAssocCache
 from repro.sim.engine import Engine
 
-GENERIC_EVENTS = 5_000
-
 LANE_WARPS = 64
 LANE_STEPS_PER_WARP = 50
 
 CACHE_LINES = 256
 CACHE_PASSES = 20
 LINE_BYTES = 64
-
-
-def _drain_generic() -> int:
-    """Push/pop GENERIC_EVENTS no-op tuples through the generic heap."""
-    eng = Engine()
-
-    def fn() -> None:
-        pass
-
-    for i in range(GENERIC_EVENTS):
-        eng.at(i, fn)
-    eng.run()
-    return eng.events_processed
 
 
 def _drain_lane() -> int:
@@ -66,11 +51,6 @@ def _probe_cache() -> int:
         for line in range(CACHE_LINES):
             access(line * LINE_BYTES, False)
     return cache.stats.hits
-
-
-def test_generic_heap_push_pop(benchmark):
-    processed = benchmark.pedantic(_drain_generic, rounds=3, iterations=1)
-    assert processed == GENERIC_EVENTS
 
 
 def test_warp_lane_step(benchmark):

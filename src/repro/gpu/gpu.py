@@ -191,7 +191,7 @@ class GpuModel:  # reprolint: allow(R2) once-per-run orchestrator, never allocat
         self._remaining = 0
         for w, trace in enumerate(streams if streams is not None else traces):
             sm = self.sms[w % len(self.sms)]
-            self._warps.append(Warp(w, sm, trace, self._warp_done, recorder))
+            self._warps.append(Warp(w, sm, trace))
         self._remaining = len(self._warps)
         # All warp events ride the engine's typed lane; the Warp objects
         # remain the inspectable per-warp surface the lane syncs into.
@@ -199,6 +199,7 @@ class GpuModel:  # reprolint: allow(R2) once-per-run orchestrator, never allocat
             self.engine, self._warps, self.stats, self._warp_done, recorder
         )
         self._tenant_finish_ps: Dict[str, int] = {}
+        self._ran = False
         if auditor is not None:
             auditor.instrument(self)
 
@@ -214,6 +215,18 @@ class GpuModel:  # reprolint: allow(R2) once-per-run orchestrator, never allocat
             self._tenant_finish_ps[tenant] = self.engine.now
 
     def run(self, max_events: Optional[int] = None) -> RunResult:
+        """Simulate every warp to completion and fold the result.
+
+        A model is single-use: its warps, counters and clock are
+        consumed by the run, so a second call raises
+        :class:`RuntimeError` — build a new model to simulate again.
+        """
+        if self._ran:
+            raise RuntimeError(
+                "GpuModel.run() can be called only once per model; "
+                "build a new GpuModel to simulate again"
+            )
+        self._ran = True
         # The event loop allocates almost nothing that survives a step,
         # so generational GC passes over it are pure overhead (~5% of
         # wall time); collection is suspended for the drain and restored

@@ -6,21 +6,17 @@ bursts from its warps; a warp blocked on memory costs nothing until its
 response arrives — this is warp-level latency hiding, and it is what
 converts memory-system improvements into IPC (Fig. 16).
 
-Two implementations share those semantics:
-
-* :class:`Warp` — the classic callback pair (``_next_burst`` /
-  ``_issue_memory``) scheduled on the engine's generic heap.  Kept as
-  the reference implementation and for driving a warp standalone.
-* :class:`WarpLane` — the fused stepper behind the engine's typed warp
-  lane (see ``sim/engine.py``).  All warps' progress lives in slotted
-  columns (cursor/retired arrays, per-warp trace columns) and one
-  table-driven loop steps whichever warp the lane heap surfaces next.
-  Because ``StreamingMultiprocessor.access_memory`` returns completion
-  times synchronously, each step computes its successor event inline
-  and replaces the heap head in a single sift — no tuples, closures or
-  bound-method dispatch per event.  Event order is bit-identical to the
-  callback pair: both phases remain distinct timeline events with the
-  same ``(time, seq)`` stamps the golden fingerprints freeze.
+:class:`WarpLane` is the stepper behind the engine's warp lane (see
+``sim/engine.py``).  All warps' progress lives in slotted columns
+(cursor/retired arrays, per-warp trace columns) and one table-driven
+loop steps whichever warp the lane heap surfaces next.  Because
+``StreamingMultiprocessor.access_memory`` returns completion times
+synchronously, each step computes its successor event inline and
+replaces the heap head in a single sift — no tuples, closures or
+bound-method dispatch per event.  A burst and its memory issue remain
+distinct timeline events, with the ``(time, seq)`` stamps the golden
+fingerprints freeze.  :class:`Warp` is the per-warp record the lane
+writes its results into.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Union
 from repro.sim.engine import (
     LANE_SEQ_BITS,
     LANE_SEQ_LIMIT,
-    LANE_SEQ_MASK,
     LANE_TIME_SHIFT,
     LANE_WARP_BITS,
     LANE_WARP_MASK,
@@ -69,36 +64,21 @@ _SM_METHODS = _capture_sm_methods()
 
 
 class Warp:
-    """Replays one warp's access stream through its SM and memory.
+    """One warp's identity, trace and final progress.
 
     ``trace`` is either a materialized :class:`WarpTrace` or a
     :class:`~repro.workloads.source.WarpStream` (bounded-lookahead
-    block iterator).  Both are kept on ``self.trace`` — the audit layer
-    duck-types against it (``tenant`` / ``len`` / ``well_formed``).
-    Block pulls are lazy, so a Warp and the :class:`WarpLane` can share
-    one stream: only whichever of the two actually drives the warp
-    consumes it.
-
-    An optional :class:`~repro.workloads.trace.TraceRecorder` captures
-    every executed ``(gap, addr, write)`` at memory-issue time — the
-    record side of trace record/replay.  The hot path pays one
-    attribute check per access when no recorder is attached.
+    block iterator); the audit layer duck-types against it (``tenant``
+    / ``len`` / ``well_formed``).  :class:`WarpLane` drives the warp and
+    mirrors ``instructions_retired``, ``_cursor`` (ops consumed) and
+    ``finished`` back into this record.
     """
 
     __slots__ = (
         "warp_id",
         "sm",
         "trace",
-        "on_done",
-        "_stream",
-        "_gaps",
-        "_addrs",
-        "_writes",
-        "_num_ops",
-        "_base",
-        "_at",
         "_cursor",
-        "_recorder",
         "instructions_retired",
         "finished",
     )
@@ -108,71 +88,13 @@ class Warp:
         warp_id: int,
         sm: "StreamingMultiprocessor",
         trace: Union[WarpTrace, WarpStream],
-        on_done: Callable[["Warp"], None],
-        recorder: Optional["TraceRecorder"] = None,
     ) -> None:
         self.warp_id = warp_id
         self.sm = sm
         self.trace = trace
-        self.on_done = on_done
-        if isinstance(trace, WarpStream):
-            # Lazy: the first burst pulls the first block.
-            self._stream: Optional[WarpStream] = trace
-            self._gaps: List[int] = []
-            self._addrs: List[int] = []
-            self._writes: List[bool] = []
-            self._num_ops = 0
-        else:
-            self._stream = None
-            self._gaps, self._addrs, self._writes = trace.columns
-            self._num_ops = len(self._addrs)
-        self._base = 0  # ops consumed in earlier blocks
-        self._at = sm.engine.at
-        self._cursor = 0  # index within the current block
-        self._recorder = recorder
+        self._cursor = 0
         self.instructions_retired = 0
         self.finished = False
-
-    def start(self) -> None:
-        self._next_burst()
-
-    def _advance(self) -> bool:
-        """Pull the next block; False when the stream is exhausted."""
-        if self._stream is None:
-            return False
-        block = self._stream.next_block()
-        if block is None:
-            return False
-        self._base += self._num_ops
-        self._gaps, self._addrs, self._writes = block
-        self._num_ops = len(self._addrs)
-        self._cursor = 0
-        return True
-
-    def _next_burst(self) -> None:
-        cursor = self._cursor
-        if cursor >= self._num_ops:
-            if self._advance():
-                cursor = 0
-            else:
-                self.finished = True
-                self._cursor = self._base + self._num_ops
-                self.on_done(self)
-                return
-        gap = self._gaps[cursor]
-        burst_end = self.sm.issue_burst(gap + 1)  # +1: the memory inst
-        self.instructions_retired += gap + 1
-        self._at(burst_end, self._issue_memory)
-
-    def _issue_memory(self) -> None:
-        cursor = self._cursor
-        addr = self._addrs[cursor]
-        write = self._writes[cursor]
-        if self._recorder is not None:
-            self._recorder.record(self.warp_id, self._gaps[cursor], addr, write)
-        complete = self.sm.access_memory(addr, write)
-        self._cursor = cursor + 1
-        self._at(complete, self._next_burst)
 
 
 class WarpLane:
@@ -181,10 +103,10 @@ class WarpLane:
     Owns the slotted per-warp state (``cursor``/``retired`` columns plus
     the traces compiled to parallel gap/addr/write lists) and installs
     two entry points on the engine: ``step`` (one event, used by the
-    guarded/validating drains) and ``drain`` (the fused bulk loop the
-    full drain delegates runs of lane events to).
+    capped and validating per-event loop) and ``drain`` (the fused bulk
+    loop an uncapped run hands the whole lane to).
 
-    The :class:`Warp` objects stay the user-visible surface — the lane
+    The :class:`Warp` records stay the user-visible surface — the lane
     mirrors ``instructions_retired``/``_cursor``/``finished`` back into
     them at finish and via :meth:`sync`.
     """
@@ -279,9 +201,7 @@ class WarpLane:
             trace = w.trace
             if isinstance(trace, WarpStream):
                 # Streamed warp: start empty, the first burst pulls the
-                # first block (lazy, so the Warp object sharing this
-                # stream never double-consumes it — only one of the two
-                # drives the warp).
+                # first block.
                 self._streams.append(trace)
                 self._nops.append(0)
                 self._gaps.append([])
@@ -299,14 +219,13 @@ class WarpLane:
         self._cdict = stats.counters
         engine.attach_warp_lane(n, self._step_one, self._drain)
 
-    # -- slow-path stepping (start, guarded/validating drains) ----------
+    # -- per-event stepping (start, capped/validating runs) -------------
 
     def start_all(self) -> None:
         """Issue every warp's first burst synchronously, in warp order.
 
-        Mirrors the classic ``warp.start()`` loop: the first burst is
-        not an event, it runs at the current time and schedules the
-        warp's first memory issue on the lane.
+        The first burst is not an event: it runs at the current time
+        and schedules the warp's first memory issue on the lane.
         """
         for w in range(self._num_warps):
             self._burst(w, self._engine.now)
@@ -378,7 +297,7 @@ class WarpLane:
         self._on_done(warp)
 
     def _step_one(self, w: int, phase: int) -> None:
-        """Execute one lane event (engine ``step``/guarded-drain hook)."""
+        """Execute one lane event (the engine's per-event hook)."""
         if phase == PHASE_MEM:
             self._mem(w, self._engine.now)
         else:
@@ -396,18 +315,14 @@ class WarpLane:
     # -- fused drain ----------------------------------------------------
 
     def _drain(self) -> None:
-        """Run lane events in order while they precede the generic head.
+        """Run every lane event, in order, until the lane is empty.
 
-        The engine's full drain hands control here whenever the lane
-        head is the global minimum.  Everything per-event is a local:
-        the loop peeks the lane head, inlines the phase body, and
-        replaces the head with the successor event in a single heap
-        sift (``heapreplace``), touching ``engine.now`` once per event
-        and flushing ``_seq`` and ``events_processed`` on exit.  The
-        generic-heap head is re-read every iteration (a step may push a
-        generic event mid-drain), so the yield condition needs no
-        arguments — when the generic heap is empty there is no limit
-        test at all.
+        An uncapped ``Engine.run`` hands the whole lane here.
+        Everything per-event is a local: the loop peeks the lane head,
+        inlines the phase body, and replaces the head with the
+        successor event in a single heap sift (``heapreplace``),
+        touching ``engine.now`` once per event and flushing ``_seq``
+        and ``events_processed`` on exit.
 
         When :attr:`_mem_fp` is set (every SM shares the pristine
         uncached fast path), the MEM branch runs the whole access
@@ -427,17 +342,9 @@ class WarpLane:
         the model's completion fields), and the flush sits in the
         ``finally`` — split so an event that raises mid-body leaves
         exactly the updates the reference ordering would have made.
-
-        The lane's ``_lane_time``/``_lane_seq`` columns are *not*
-        updated here: the encoded heap key is authoritative for
-        ordering and ``_lane_step_min`` decodes the timestamp from it,
-        so those columns are informational mirrors written only by
-        ``lane_schedule`` (the slow path).  ``_lane_phase`` stays
-        exact — it drives dispatch.
         """
         eng = self._engine
         heap = eng._lane_heap
-        gq = eng._queue
         phases = eng._lane_phase
         cursors = self._cursor
         retired = self._retired
@@ -458,7 +365,6 @@ class WarpLane:
         heappop = heapq.heappop
         seq = eng._seq
         count = eng.events_processed
-        seq_mask = LANE_SEQ_MASK
         warp_mask = LANE_WARP_MASK
         time_shift = LANE_TIME_SHIFT
         warp_bits = LANE_WARP_BITS
@@ -483,13 +389,6 @@ class WarpLane:
             while heap:
                 key = heap[0]
                 t = key >> time_shift
-                if gq:
-                    head = gq[0]
-                    ht = head[0]
-                    if t > ht or (
-                        t == ht and (key >> warp_bits) & seq_mask > head[1]
-                    ):
-                        return
                 count += 1
                 eng.now = t
                 w = key & warp_mask

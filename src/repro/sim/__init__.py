@@ -1,8 +1,10 @@
 """Discrete-event simulation kernel used by every Ohm-GPU subsystem.
 
-The engine keeps time in integer **picoseconds** so that the 30 GHz
-optical clock, the 15 GHz electrical channel clock and the 1.2 GHz SM
-clock can all be represented exactly.
+The engine is a warp-event queue: warps are the only things that wake
+on the clock, and the memory system they call answers synchronously.
+It keeps time in integer **picoseconds** so that the 30 GHz optical
+clock, the 15 GHz electrical channel clock and the 1.2 GHz SM clock can
+all be represented exactly.
 """
 
 from repro.sim.audit import (

@@ -143,14 +143,13 @@ class ValidatingEngine(Engine):
 
     Only instantiated on audited models; the production ``Engine.run``
     fast path is untouched.  The monotonicity check guards the heap
-    discipline itself — ``at()`` already rejects scheduling into the
-    past, so a violation here means the queue ordering broke.
+    discipline itself — ``lane_schedule`` already rejects scheduling
+    into the past, so a violation here means the queue ordering broke.
 
-    Every drain runs through the engine's guarded merged loop, so warp
-    lane events are popped one at a time through the lane's slow-path
-    step (never the fused drain) with the monotonicity check applied to
-    generic and lane events alike — same ``(time, seq)`` order, same
-    results, with the heap discipline watched on every pop.
+    Every run goes through the engine's per-event loop, so warp events
+    are popped one at a time through the lane's ``step`` (never the
+    fused drain) — same ``(time, seq)`` order, same results, with the
+    heap discipline watched on every pop.
     """
 
     __slots__ = ("auditor",)
@@ -159,10 +158,8 @@ class ValidatingEngine(Engine):
         super().__init__()
         self.auditor = auditor
 
-    def run(
-        self, until_ps: Optional[int] = None, max_events: Optional[int] = None
-    ) -> None:
-        self._run_guarded(until_ps, max_events, self.auditor.record)
+    def run(self, max_events: Optional[int] = None) -> None:
+        self._run_guarded(max_events, self.auditor.record)
 
 
 class Auditor:

@@ -96,53 +96,64 @@ class TestViolationRecords:
             a.raise_if_violations()
 
 
+def validating_lane(auditor, num_warps=4, drain=None):
+    """(engine, seen): a validating engine whose lane logs its steps."""
+    eng = ValidatingEngine(auditor)
+    seen = []
+    eng.attach_warp_lane(
+        num_warps, lambda warp, phase: seen.append((eng.now, warp)), drain
+    )
+    return eng, seen
+
+
 class TestValidatingEngine:
     def test_runs_events_in_order(self):
         a = Auditor()
-        eng = ValidatingEngine(a)
-        seen = []
-        eng.schedule(5, lambda: seen.append("b"))
-        eng.schedule(1, lambda: seen.append("a"))
+        eng, seen = validating_lane(a)
+        eng.lane_schedule(0, 5, 0)
+        eng.lane_schedule(1, 1, 0)
         eng.run()
-        assert seen == ["a", "b"]
+        assert seen == [(1, 1), (5, 0)]
         assert not a.violations
 
     def test_detects_non_monotonic_heap(self):
-        # at() refuses past scheduling, so corrupt the queue directly —
-        # the validating engine must notice the broken heap discipline.
+        # lane_schedule refuses past scheduling, so move the clock past
+        # a queued event directly — the validating engine must notice
+        # the broken heap discipline.
         a = Auditor()
-        eng = ValidatingEngine(a)
-        eng.schedule(10, lambda: None)
+        eng, _ = validating_lane(a)
+        eng.lane_schedule(0, 10, 0)
         eng.now = 50
         eng.run()
-        assert any(v.invariant == "engine.monotonic_time" for v in a.violations)
+        assert [v.invariant for v in a.violations] == ["engine.monotonic_time"]
 
-    def test_respects_until_and_max_events(self):
+    def test_respects_max_events(self):
         a = Auditor()
-        eng = ValidatingEngine(a)
-        for t in (1, 2, 3):
-            eng.schedule(t, lambda: None)
-        eng.run(until_ps=2)
+        eng, seen = validating_lane(a)
+        for w, t in enumerate((1, 2, 3)):
+            eng.lane_schedule(w, t, 0)
+        eng.run(max_events=2)
+        assert seen == [(1, 0), (2, 1)]
         assert eng.pending() == 1
+        assert eng.events_processed == 2
         eng.run(max_events=1)
-        assert eng.pending() == 0 or eng.events_processed == 3
+        assert eng.pending() == 0
+        assert eng.events_processed == 3
 
     def test_warp_lane_drains_through_guarded_loop(self):
         # A validating engine never enters the fused lane drain: lane
-        # events pop one at a time through the guarded merged loop, in
-        # the exact (time, seq) order, with monotonicity checked.
+        # events pop one at a time through the per-event loop, in the
+        # exact (time, seq) order, with monotonicity checked.
         a = Auditor()
-        eng = ValidatingEngine(a)
-        seen = []
-        eng.attach_warp_lane(4, lambda warp, phase: seen.append(("L", warp, phase)))
-        eng.schedule(5, lambda: seen.append(("G", 5)))
-        eng.lane_schedule(0, 3, 7)
-        eng.lane_schedule(1, 5, 8)  # ties with the generic event at t=5
-        eng.schedule(9, lambda: seen.append(("G", 9)))
+        drained = []
+        eng, seen = validating_lane(a, drain=lambda: drained.append(True))
+        eng.lane_schedule(0, 3, 0)
+        eng.lane_schedule(2, 5, 0)
+        eng.lane_schedule(1, 5, 0)  # ties with warp 2: schedule order wins
+        eng.lane_schedule(3, 9, 0)
         eng.run()
-        # The generic t=5 event was scheduled before lane warp 1's, so
-        # schedule order breaks the tie.
-        assert seen == [("L", 0, 7), ("G", 5), ("L", 1, 8), ("G", 9)]
+        assert drained == []
+        assert seen == [(3, 0), (5, 2), (5, 1), (9, 3)]
         assert eng.events_processed == 4
         assert not a.violations
 

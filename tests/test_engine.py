@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.config import MemoryMode
+from repro.core.platforms import PLATFORMS
+from repro.gpu.gpu import GpuModel
+from repro.harness.executor import RunConfig, SimulationJob, traces_for
 from repro.sim.engine import Engine, freq_ghz_to_period_ps, ns, us
+from repro.workloads.registry import get_workload_def
 
 
 class TestTimeHelpers:
@@ -27,259 +32,175 @@ class TestTimeHelpers:
             freq_ghz_to_period_ps(0.0)
 
 
+def lane_engine(num_warps=8, step=None):
+    """(engine, seen): a lane whose default step logs ``(now, warp, phase)``."""
+    eng = Engine()
+    seen = []
+
+    def log(warp, phase):
+        seen.append((eng.now, warp, phase))
+
+    eng.attach_warp_lane(num_warps, step or log)
+    return eng, seen
+
+
 class TestEngine:
     def test_events_run_in_time_order(self):
-        eng = Engine()
-        seen = []
-        eng.schedule(50, lambda: seen.append("late"))
-        eng.schedule(10, lambda: seen.append("early"))
+        eng, seen = lane_engine()
+        eng.lane_schedule(0, 50, 1)
+        eng.lane_schedule(1, 10, 2)
         eng.run()
-        assert seen == ["early", "late"]
+        assert seen == [(10, 1, 2), (50, 0, 1)]
 
     def test_equal_timestamps_run_in_schedule_order(self):
-        eng = Engine()
-        seen = []
-        for i in range(5):
-            eng.schedule(7, lambda i=i: seen.append(i))
+        eng, seen = lane_engine()
+        for w in (3, 1, 4, 0, 2):
+            eng.lane_schedule(w, 7, 0)
         eng.run()
-        assert seen == [0, 1, 2, 3, 4]
+        assert [warp for _, warp, _ in seen] == [3, 1, 4, 0, 2]
 
     def test_now_advances_with_events(self):
-        eng = Engine()
-        stamps = []
-        eng.schedule(5, lambda: stamps.append(eng.now))
-        eng.schedule(9, lambda: stamps.append(eng.now))
+        eng, seen = lane_engine()
+        eng.lane_schedule(0, 5, 0)
+        eng.lane_schedule(1, 9, 0)
         eng.run()
-        assert stamps == [5, 9]
+        assert [now for now, _, _ in seen] == [5, 9]
+        assert eng.now == 9
 
     def test_nested_scheduling(self):
-        eng = Engine()
+        # A step schedules its warp's successor; the successor runs in
+        # the same drain, after the step that scheduled it.
         seen = []
 
-        def outer():
-            seen.append(("outer", eng.now))
-            eng.schedule(3, lambda: seen.append(("inner", eng.now)))
+        def step(warp, phase):
+            seen.append((eng.now, phase))
+            if phase == 0:
+                eng.lane_schedule(warp, eng.now + 3, 1)
 
-        eng.schedule(2, outer)
+        eng, _ = lane_engine(step=step)
+        eng.lane_schedule(0, 2, 0)
         eng.run()
-        assert seen == [("outer", 2), ("inner", 5)]
-
-    def test_run_until_stops_before_later_events(self):
-        eng = Engine()
-        seen = []
-        eng.schedule(5, lambda: seen.append(5))
-        eng.schedule(15, lambda: seen.append(15))
-        eng.run(until_ps=10)
-        assert seen == [5]
-        assert eng.pending() == 1
+        assert seen == [(2, 0), (5, 1)]
 
     def test_max_events_cap(self):
-        eng = Engine()
-        seen = []
-        for i in range(10):
-            eng.schedule(i + 1, lambda i=i: seen.append(i))
+        eng, seen = lane_engine(num_warps=10)
+        for w in range(10):
+            eng.lane_schedule(w, w + 1, 0)
         eng.run(max_events=3)
-        assert len(seen) == 3
-
-    def test_negative_delay_rejected(self):
-        eng = Engine()
-        with pytest.raises(ValueError):
-            eng.schedule(-1, lambda: None)
+        assert [warp for _, warp, _ in seen] == [0, 1, 2]
+        assert eng.events_processed == 3
+        assert eng.pending() == 7
 
     def test_scheduling_into_the_past_rejected(self):
-        eng = Engine()
-        eng.schedule(100, lambda: None)
+        eng, _ = lane_engine()
+        eng.lane_schedule(0, 100, 0)
         eng.run()
         with pytest.raises(ValueError):
-            eng.at(50, lambda: None)
-
-    def test_step_returns_false_when_empty(self):
-        assert Engine().step() is False
-
-    def test_peek_time(self):
-        eng = Engine()
-        assert eng.peek_time() is None
-        eng.schedule(42, lambda: None)
-        assert eng.peek_time() == 42
+            eng.lane_schedule(1, 50, 0)
 
     def test_events_processed_counter(self):
-        eng = Engine()
-        for _ in range(4):
-            eng.schedule(1, lambda: None)
+        eng, _ = lane_engine()
+        for w in range(4):
+            eng.lane_schedule(w, 1, 0)
         eng.run()
         assert eng.events_processed == 4
 
 
 class TestEngineEdgeCases:
-    def test_event_exactly_at_until_ps_still_runs(self):
-        eng = Engine()
-        seen = []
-        eng.schedule(10, lambda: seen.append(10))
-        eng.schedule(11, lambda: seen.append(11))
-        eng.run(until_ps=10)
-        assert seen == [10]
-        assert eng.now == 10
-
-    def test_run_resumes_after_until_ps(self):
-        eng = Engine()
-        seen = []
-        eng.schedule(5, lambda: seen.append(5))
-        eng.schedule(15, lambda: seen.append(15))
-        eng.run(until_ps=10)
-        eng.run()
-        assert seen == [5, 15]
-        assert eng.pending() == 0
-
-    def test_until_ps_in_the_past_runs_nothing(self):
-        eng = Engine()
-        eng.schedule(5, lambda: None)
-        eng.run()
-        eng.schedule(5, lambda: None)  # now at t=10
-        eng.run(until_ps=7)
-        assert eng.pending() == 1
-
     def test_max_events_counts_events_spawned_mid_run(self):
-        eng = Engine()
         seen = []
 
-        def spawner():
+        def spawner(warp, phase):
             seen.append(eng.now)
-            eng.schedule(1, spawner)
+            eng.lane_schedule(warp, eng.now + 1, 0)
 
-        eng.schedule(0, spawner)
+        eng, _ = lane_engine(step=spawner)
+        eng.lane_schedule(0, 0, 0)
         eng.run(max_events=5)  # would otherwise loop forever
-        assert len(seen) == 5
+        assert seen == [0, 1, 2, 3, 4]
         assert eng.pending() == 1
 
     def test_max_events_zero_processes_nothing(self):
-        eng = Engine()
-        eng.schedule(1, lambda: None)
+        eng, seen = lane_engine()
+        eng.lane_schedule(0, 1, 0)
         eng.run(max_events=0)
+        assert seen == []
         assert eng.pending() == 1
         assert eng.events_processed == 0
 
-    def test_until_and_max_events_combine(self):
-        eng = Engine()
-        seen = []
-        for t in (1, 2, 3, 4):
-            eng.schedule(t, lambda t=t: seen.append(t))
-        eng.run(until_ps=3, max_events=2)
-        assert seen == [1, 2]
-
     def test_zero_delay_runs_at_current_time(self):
-        eng = Engine()
-        eng.schedule(3, lambda: None)
+        eng, seen = lane_engine()
+        eng.lane_schedule(0, 3, 0)
         eng.run()
-        seen = []
-        eng.schedule(0, lambda: seen.append(eng.now))
+        eng.lane_schedule(0, eng.now, 1)
         eng.run()
-        assert seen == [3]
+        assert seen == [(3, 0, 0), (3, 0, 1)]
 
     def test_past_scheduling_rejected_after_time_advances(self):
-        eng = Engine()
-        eng.schedule(100, lambda: None)
+        eng, _ = lane_engine()
+        eng.lane_schedule(0, 100, 0)
         eng.run()
         with pytest.raises(ValueError):
-            eng.schedule(-1, lambda: None)
-        with pytest.raises(ValueError):
-            eng.at(99, lambda: None)
-        eng.at(100, lambda: None)  # the current instant is still legal
+            eng.lane_schedule(0, 99, 0)
+        eng.lane_schedule(0, 100, 0)  # the current instant is still legal
         eng.run()
         assert eng.now == 100
 
     def test_callback_scheduling_into_its_own_past_rejected(self):
-        eng = Engine()
         failures = []
 
-        def cb():
+        def step(warp, phase):
             try:
-                eng.at(eng.now - 1, lambda: None)
+                eng.lane_schedule(warp, eng.now - 1, 0)
             except ValueError:
                 failures.append(eng.now)
 
-        eng.schedule(10, cb)
+        eng, _ = lane_engine(step=step)
+        eng.lane_schedule(0, 10, 0)
         eng.run()
         assert failures == [10]
 
 
 class TestWarpLane:
-    """The typed warp lane merged against the generic heap."""
-
-    def _lane_engine(self, num_warps=4):
-        eng = Engine()
-        seen = []
-
-        def step(warp, phase):
-            seen.append((eng.now, warp, phase))
-
-        eng.attach_warp_lane(num_warps, step)
-        return eng, seen
-
-    def test_lane_event_exactly_at_until_ps_still_runs(self):
-        eng, seen = self._lane_engine()
-        eng.lane_schedule(0, 100, 1)
-        eng.lane_schedule(1, 101, 2)
-        eng.run(until_ps=100)
-        assert seen == [(100, 0, 1)]
-        assert eng.events_processed == 1
-        assert eng.lane_pending() == 1
-        eng.run()
-        assert seen == [(100, 0, 1), (101, 1, 2)]
-
-    def test_max_events_caps_merged_lane_and_generic(self):
-        eng, seen = self._lane_engine()
-        order = []
-        eng.lane_schedule(0, 10, 1)          # seq 0
-        eng.at(20, lambda: order.append("g20"))   # seq 1
-        eng.lane_schedule(1, 30, 2)          # seq 2
-        eng.at(40, lambda: order.append("g40"))   # seq 3
-        eng.run(max_events=3)
-        assert eng.events_processed == 3
-        assert seen == [(10, 0, 1), (30, 1, 2)]
-        assert order == ["g20"]
-        assert eng.pending() == 1
-        eng.run()
-        assert order == ["g20", "g40"]
-        assert eng.events_processed == 4
-
-    def test_equal_time_merge_follows_schedule_order(self):
-        eng, seen = self._lane_engine()
-        order = []
-        eng.at(50, lambda: order.append(("g", 50)))  # seq 0
-        eng.lane_schedule(0, 50, 7)                  # seq 1
-        eng.at(50, lambda: order.append(("g2", 50)))  # seq 2
-        eng.run()
-        # The lane event (seq 1) lands between the two generic events.
-        assert order == [("g", 50), ("g2", 50)]
-        assert seen == [(50, 0, 7)]
-        assert eng.events_processed == 3
+    """Lane bookkeeping: per-warp slots and the attach preconditions."""
 
     def test_one_pending_event_per_warp_enforced(self):
-        eng, _ = self._lane_engine()
+        eng, _ = lane_engine()
         eng.lane_schedule(0, 10, 1)
         with pytest.raises(RuntimeError):
             eng.lane_schedule(0, 20, 2)
 
     def test_lane_scheduling_into_the_past_rejected(self):
-        eng, _ = self._lane_engine()
+        # A rejected schedule leaves the warp's slot idle: the warp can
+        # still be scheduled at a legal time afterwards.
+        eng, seen = lane_engine()
         eng.lane_schedule(0, 10, 1)
         eng.run()
         with pytest.raises(ValueError):
             eng.lane_schedule(0, 5, 1)
+        eng.lane_schedule(0, 12, 2)
+        eng.run()
+        assert seen == [(10, 0, 1), (12, 0, 2)]
 
 
 class TestEventsProcessedOnRaise:
-    """A raising callback still counts as processed, on every drain path."""
+    """A raising step still counts as processed, on every drain path."""
 
-    def test_generic_full_drain(self):
-        eng = Engine()
-        eng.schedule(1, lambda: None)
-
-        def boom():
+    @staticmethod
+    def _boom_at_phase_9(warp, phase):
+        if phase == 9:
             raise RuntimeError("boom")
 
-        eng.schedule(2, boom)
-        eng.schedule(3, lambda: None)
+    def _build(self):
+        eng = Engine()
+        eng.attach_warp_lane(3, self._boom_at_phase_9)
+        eng.lane_schedule(0, 10, 1)
+        eng.lane_schedule(1, 20, 9)
+        eng.lane_schedule(2, 30, 1)
+        return eng
+
+    def test_lane_full_drain(self):
+        eng = self._build()
         with pytest.raises(RuntimeError):
             eng.run()
         assert eng.events_processed == 2  # the raising event is counted
@@ -287,48 +208,49 @@ class TestEventsProcessedOnRaise:
         eng.run()
         assert eng.events_processed == 3
 
-    def test_lane_full_drain(self):
-        eng = Engine()
-
-        def step(warp, phase):
-            if phase == 9:
-                raise RuntimeError("boom")
-
-        eng.attach_warp_lane(2, step)
-        eng.lane_schedule(0, 10, 1)
-        eng.lane_schedule(1, 20, 9)
-        with pytest.raises(RuntimeError):
-            eng.run()
-        assert eng.events_processed == 2
-        assert eng.lane_pending() == 0
-
     def test_guarded_drain_matches_full_drain_count(self):
-        def build():
-            eng = Engine()
+        # A real model's fused drain and the per-event loop agree on
+        # the count when a step raises mid-run.
+        fused = _model_raising_on_access(6)
+        with pytest.raises(RuntimeError, match="boom"):
+            fused.run()
+        guarded = _model_raising_on_access(6)
+        with pytest.raises(RuntimeError, match="boom"):
+            guarded.run(max_events=10**9)
+        assert fused.engine.events_processed > 0
+        assert guarded.engine.events_processed == fused.engine.events_processed
 
-            def boom():
+
+def _model_raising_on_access(nth):
+    """A small model whose memory slices raise on the ``nth`` access."""
+    job = SimulationJob(
+        "Ohm-BW", "backp", MemoryMode.PLANAR,
+        RunConfig(num_warps=4, accesses_per_warp=4),
+    )
+    cfg = job.resolved_config()
+    model = GpuModel(
+        PLATFORMS["Ohm-BW"], cfg, get_workload_def("backp").spec,
+        traces_for(job, cfg),
+    )
+    calls = [0]
+    for mc in model.memory.slices:
+        def serve(*args, _orig=mc.serve):
+            calls[0] += 1
+            if calls[0] == nth:
                 raise RuntimeError("boom")
+            return _orig(*args)
 
-            eng.schedule(1, lambda: None)
-            eng.schedule(2, boom)
-            return eng
-
-        full = build()
-        with pytest.raises(RuntimeError):
-            full.run()
-        guarded = build()
-        with pytest.raises(RuntimeError):
-            guarded.run(max_events=10)
-        assert guarded.events_processed == full.events_processed == 2
+        mc.serve = serve
+    return model
 
 
 class TestAtErrorMessage:
     def test_includes_requested_and_current_timestamps(self):
-        eng = Engine()
-        eng.schedule(100, lambda: None)
+        eng, _ = lane_engine()
+        eng.lane_schedule(0, 100, 0)
         eng.run()
         with pytest.raises(ValueError) as exc:
-            eng.at(50, lambda: None)
+            eng.lane_schedule(0, 50, 0)
         message = str(exc.value)
         assert "50" in message  # requested
         assert "100" in message  # current

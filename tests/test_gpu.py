@@ -11,8 +11,10 @@ from repro.core.platforms import PLATFORMS
 from repro.gpu.cache import SetAssocCache
 from repro.gpu.gpu import GpuModel
 from repro.gpu.interconnect import Interconnect
+from repro.harness.audit import audit_jobs
+from repro.harness.executor import RunConfig, traces_for
 from repro.sim.records import MemRequest
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import REGISTRY, get_workload, get_workload_def
 from repro.workloads.synthetic import WarpTrace
 
 
@@ -155,6 +157,51 @@ class TestGpuModel:
         model = GpuModel(PLATFORMS["Ohm-base"], cfg, get_workload("backp"), tiny_traces())
         result = model.run()
         assert 0.0 <= result.migration_bandwidth_fraction <= 1.0
+
+    def test_second_run_rejected(self):
+        cfg = default_config(MemoryMode.PLANAR)
+        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces())
+        first = model.run()
+        counters = dict(first.counters)
+        with pytest.raises(RuntimeError, match="only once per model"):
+            model.run()
+        # The rejected call touched nothing.
+        assert model.stats.snapshot() == counters
+        assert model.engine.now == first.exec_time_ps
+
+    def test_run_after_max_events_stop_rejected(self):
+        cfg = default_config(MemoryMode.PLANAR)
+        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces())
+        with pytest.raises(RuntimeError, match="4 warps unfinished"):
+            model.run(max_events=3)
+        with pytest.raises(RuntimeError, match="only once per model"):
+            model.run()
+
+
+# The default registry, captured at import: other tests register probe
+# workloads at run time.
+REGISTERED_WORKLOADS = tuple(REGISTRY)
+
+
+class TestDrainParity:
+    """The fused drain equals the per-event loop on the whole registry."""
+
+    def test_fused_drain_matches_per_event_loop_everywhere(self):
+        jobs = audit_jobs(
+            run_cfg=RunConfig(num_warps=16, accesses_per_warp=16),
+            workloads=REGISTERED_WORKLOADS,
+        )
+        mismatches = []
+        for job in jobs:
+            cfg = job.resolved_config()
+            spec = get_workload_def(job.workload).spec
+            traces = traces_for(job, cfg)
+            platform = PLATFORMS[job.platform]
+            fused = GpuModel(platform, cfg, spec, traces).run()
+            per_event = GpuModel(platform, cfg, spec, traces).run(max_events=10**12)
+            if fused.fingerprint() != per_event.fingerprint():
+                mismatches.append(job)
+        assert mismatches == []
 
 
 class TestStreamingMultiprocessor:
