@@ -18,13 +18,14 @@ import sys
 
 import pytest
 
-from repro import ResultCache, RunConfig, Runner
-from repro.harness.executor import make_executor
+from repro import ResultCache, Runner
+from repro.harness.executor import SIZING_PRESETS, make_executor
 
-# Bench sizing: large enough for stable shapes (in particular, enough
-# footprint coverage that Origin's working set exceeds its DRAM), small
-# enough that the whole suite finishes in a few minutes.
-BENCH_RUN_CONFIG = RunConfig(num_warps=192, accesses_per_warp=96)
+# Bench sizing (the ``bench`` preset): large enough for stable shapes (in
+# particular, enough footprint coverage that Origin's working set
+# exceeds its DRAM), small enough that the whole suite finishes in a few
+# minutes.
+BENCH_RUN_CONFIG = SIZING_PRESETS["bench"]
 
 # The figure/table text IS the benchmark output.  pytest captures test
 # stdout, and this conftest is imported both as a plugin and as a plain

@@ -15,12 +15,13 @@ path.
 
 from conftest import bench_once, report
 
-from repro import MemoryMode, RunConfig, SimulationJob
+from repro import MemoryMode, SimulationJob
 from repro.core.platforms import PLATFORMS
+from repro.harness.executor import SIZING_PRESETS
 from repro.harness.report import format_table
 from repro.harness.sweeps import sweep_hot_threshold
 
-SIZING = RunConfig(num_warps=96, accesses_per_warp=64)
+SIZING = SIZING_PRESETS["cli"]
 APP = "backp"
 
 

@@ -7,12 +7,13 @@ of energy.
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import figure3
+from repro.harness.experiments import make_fig3_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 
 
-def test_fig3_breakdowns(benchmark):
-    rows = bench_once(benchmark, figure3)
+def test_fig3_breakdowns(benchmark, runner):
+    rows = bench_once(benchmark, run_spec, make_fig3_spec(), runner).payload
     report()
     report(
         format_table(

@@ -7,13 +7,14 @@ Oracle with a dedicated migration channel.
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import figure8
+from repro.harness.experiments import make_fig8_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 from repro.workloads.registry import WORKLOADS
 
 
 def test_fig8_migration_overhead(benchmark, runner):
-    data = bench_once(benchmark, figure8, runner)
+    data = bench_once(benchmark, run_spec, make_fig8_spec(), runner).payload
     for mode, fig in data.items():
         rows = [
             (

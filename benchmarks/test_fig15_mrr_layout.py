@@ -8,12 +8,13 @@ import pytest
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import figure15
+from repro.harness.experiments import make_fig15_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 
 
-def test_fig15_mrr_layouts(benchmark):
-    rows = bench_once(benchmark, figure15)
+def test_fig15_mrr_layouts(benchmark, runner):
+    rows = bench_once(benchmark, run_spec, make_fig15_spec(), runner).payload
     report()
     report(
         format_table(

@@ -7,13 +7,14 @@ Paper claims: Origin is 42 % below Hetero; Hetero ~= Ohm-base; Auto-rw
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import FIG16_PLATFORMS, figure16
+from repro.harness.experiments import FIG16_PLATFORMS, make_fig16_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 from repro.workloads.registry import WORKLOADS
 
 
 def test_fig16_ipc(benchmark, runner):
-    data = bench_once(benchmark, figure16, runner)
+    data = bench_once(benchmark, run_spec, make_fig16_spec(), runner).payload
     for mode, fig in data.items():
         rows = [
             tuple([w] + [fig.values[(w, p)] for p in FIG16_PLATFORMS])

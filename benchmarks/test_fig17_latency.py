@@ -6,13 +6,14 @@ another 6 % in planar mode.
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import LATENCY_PLATFORMS, figure17
+from repro.harness.experiments import LATENCY_PLATFORMS, make_fig17_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 from repro.workloads.registry import WORKLOADS
 
 
 def test_fig17_latency(benchmark, runner):
-    data = bench_once(benchmark, figure17, runner)
+    data = bench_once(benchmark, run_spec, make_fig17_spec(), runner).payload
     for mode, fig in data.items():
         rows = [
             tuple([w] + [fig.values[(w, p)] for p in LATENCY_PLATFORMS])

@@ -6,13 +6,14 @@ in planar mode and fully eliminates it in two-level mode.
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import BANDWIDTH_PLATFORMS, figure18
+from repro.harness.experiments import BANDWIDTH_PLATFORMS, make_fig18_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 from repro.workloads.registry import WORKLOADS
 
 
 def test_fig18_bandwidth(benchmark, runner):
-    data = bench_once(benchmark, figure18, runner)
+    data = bench_once(benchmark, run_spec, make_fig18_spec(), runner).payload
     for mode, fig in data.items():
         rows = [
             tuple([w] + [fig.values[(w, p)] for p in BANDWIDTH_PLATFORMS])

@@ -8,13 +8,14 @@ more laser power but total energy still drops ~1-2 %.
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import ENERGY_PLATFORMS, figure19
+from repro.harness.experiments import ENERGY_PLATFORMS, make_fig19_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 from repro.workloads.registry import WORKLOADS
 
 
 def test_fig19_energy(benchmark, runner):
-    data = bench_once(benchmark, figure19, runner)
+    data = bench_once(benchmark, run_spec, make_fig19_spec(), runner).payload
     for mode, rows in data.items():
         table = []
         for w in WORKLOADS:

@@ -7,17 +7,15 @@ electrical one cannot.
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import figure20a
+from repro.harness.experiments import make_fig20a_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
-from repro.harness.runner import RunConfig
+from repro.harness.runner import RunConfig, Runner
 
 
 def test_fig20a_waveguide_sweep(benchmark):
-    rows = bench_once(
-        benchmark,
-        figure20a,
-        run_cfg=RunConfig(num_warps=96, accesses_per_warp=48),
-    )
+    runner = Runner(RunConfig(num_warps=96, accesses_per_warp=48))
+    rows = bench_once(benchmark, run_spec, make_fig20a_spec(), runner).payload
     report()
     report(
         format_table(

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import figure20b
+from repro.harness.experiments import make_fig20b_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 from repro.optical.ber import RELIABILITY_REQUIREMENT
 
@@ -20,8 +21,8 @@ PAPER = {
 }
 
 
-def test_fig20b_ber(benchmark):
-    budgets = bench_once(benchmark, figure20b)
+def test_fig20b_ber(benchmark, runner):
+    budgets = bench_once(benchmark, run_spec, make_fig20b_spec(), runner).payload
     report()
     report(
         format_table(

@@ -6,13 +6,14 @@ the performance gain overwhelms the added hardware cost.
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import figure21
+from repro.harness.experiments import make_fig21_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 from repro.workloads.registry import WORKLOADS
 
 
 def test_fig21_cost_performance(benchmark, runner):
-    data = bench_once(benchmark, figure21, runner)
+    data = bench_once(benchmark, run_spec, make_fig21_spec(), runner).payload
     for mode, fig in data.items():
         rows = [
             (w, fig.values[(w, "Origin")], fig.values[(w, "Ohm-BW")], fig.values[(w, "Oracle")])

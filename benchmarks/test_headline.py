@@ -4,11 +4,12 @@ heterogeneous memory system."""
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import headline
+from repro.harness.experiments import make_headline_spec
+from repro.harness.registry import run_spec
 
 
 def test_headline_speedups(benchmark, runner):
-    result = bench_once(benchmark, headline, runner)
+    result = bench_once(benchmark, run_spec, make_headline_spec(), runner).payload
     report()
     report(
         f"Ohm-BW vs Origin  : {result['speedup_vs_origin']:.2f}x (paper 2.81x)\n"

@@ -8,12 +8,13 @@ import pytest
 
 from conftest import bench_once, report
 
-from repro.harness.experiments import table3
+from repro.harness.experiments import make_table3_spec
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 
 
-def test_table3_cost(benchmark):
-    rows = bench_once(benchmark, table3)
+def test_table3_cost(benchmark, runner):
+    rows = bench_once(benchmark, run_spec, make_table3_spec(), runner).payload
     report()
     report(
         format_table(

@@ -74,7 +74,7 @@ from repro.core.platforms import PLATFORMS
 from repro.harness import experiments  # noqa: F401  (populates the registry)
 from repro.harness.batch import DEFAULT_SHARD_SIZE, BatchError, BatchRun
 from repro.harness.cache import ResultCache
-from repro.harness.executor import make_executor
+from repro.harness.executor import SIZING_PRESETS, make_executor
 from repro.harness.store import STORE_COLUMNS, ResultStore
 from repro.harness.registry import (
     EXPERIMENTS,
@@ -102,17 +102,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _resolve_workload(name: str):
-    """Resolve a workload name to its def, exiting cleanly on failure.
-
-    Accepts any registered name plus ``trace:<path>`` replays, which is
-    why ``--workload`` is validated here instead of with a static
-    argparse ``choices`` list.
-    """
+def _read_trace(open_fn, *args, **kwargs):
+    """Call ``open_fn``, turning trace-reading errors into a clean exit."""
     try:
-        return get_workload_def(name)
-    except KeyError as exc:
-        raise SystemExit(f"repro: {exc.args[0]}")
+        return open_fn(*args, **kwargs)
     except FileNotFoundError as exc:
         raise SystemExit(f"repro: trace file not found: {exc.filename or exc}")
     except TraceFormatError as exc:
@@ -121,6 +114,19 @@ def _resolve_workload(name: str):
         # gzip.BadGzipFile, permission errors, ... — anything the trace
         # reader hits below the format layer.
         raise SystemExit(f"repro: cannot read trace: {exc}")
+
+
+def _resolve_workload(name: str):
+    """Resolve a workload name to its def, exiting cleanly on failure.
+
+    Accepts any registered name plus ``trace:<path>`` replays, which is
+    why ``--workload`` is validated here instead of with a static
+    argparse ``choices`` list.
+    """
+    try:
+        return _read_trace(get_workload_def, name)
+    except KeyError as exc:
+        raise SystemExit(f"repro: {exc.args[0]}")
 
 
 def _workload(name: str) -> str:
@@ -207,11 +213,13 @@ PRINTERS = {
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    validate = bool(getattr(args, "validate", False))
-    if getattr(args, "quick", False):
-        return RunConfig(num_warps=48, accesses_per_warp=32, validate=validate)
+    """The sizing flags as a RunConfig (``--quick`` is the quick preset)."""
+    warps, accesses = args.warps, args.accesses
+    if args.quick:
+        quick = SIZING_PRESETS["quick"]
+        warps, accesses = quick.num_warps, quick.accesses_per_warp
     return RunConfig(
-        num_warps=args.warps, accesses_per_warp=args.accesses, validate=validate
+        num_warps=warps, accesses_per_warp=accesses, validate=args.validate
     )
 
 
@@ -225,28 +233,41 @@ def _enable_log(name: str) -> None:
         log.addHandler(handler)
 
 
+def _open_cache(path) -> ResultCache:
+    """Open a ``--cache-dir``, exiting cleanly when it cannot be made."""
+    try:
+        return ResultCache(path)
+    except OSError as exc:
+        raise SystemExit(f"repro: --cache-dir: {exc}")
+
+
+def _write_out(text: str, output: Optional[str], wrote: str) -> None:
+    """Send a report to ``-o`` (noting ``wrote`` on stderr) or stdout."""
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+        print(wrote, file=sys.stderr)
+    elif text:
+        print(text, end="" if text.endswith("\n") else "\n")
+
+
 def _make_runner(args: argparse.Namespace) -> Runner:
     """Assemble the experiment service the flags describe."""
     cache = None
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         # Surface per-job cache hits on stderr (acceptance: hits logged).
         _enable_log("repro.cache")
-        try:
-            cache = ResultCache(args.cache_dir)
-        except OSError as exc:
-            raise SystemExit(f"repro: --cache-dir: {exc}")
-    batch_dir = getattr(args, "batch_dir", None)
-    if batch_dir:
+        cache = _open_cache(args.cache_dir)
+    if args.batch_dir:
         # Surface per-shard progress and skip decisions on stderr.
         _enable_log("repro.batch")
-    executor = make_executor(getattr(args, "jobs", None))
     try:
         return Runner(
             _run_config(args),
-            executor=executor,
+            executor=make_executor(args.jobs),
             cache=cache,
-            batch_dir=batch_dir,
-            shard_size=getattr(args, "shard_size", DEFAULT_SHARD_SIZE),
+            batch_dir=args.batch_dir,
+            shard_size=args.shard_size,
         )
     except OSError as exc:
         # Runner creates <batch-dir>/cache eagerly when batching.
@@ -315,11 +336,8 @@ def _run_stdin_trace(args: argparse.Namespace) -> int:
 
     source = _trace_source_arg("-")
     cfg = default_config(_mode(args.mode))
-    run_cfg = _run_config(args)
-    if run_cfg.waveguides != 1:
-        cfg = cfg.with_waveguides(run_cfg.waveguides)
     auditor = None
-    if run_cfg.validate:
+    if args.validate:
         from repro.sim.audit import Auditor
 
         auditor = Auditor(strict=True)
@@ -396,12 +414,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
     result = run_spec(EXPERIMENTS[args.name], runner)
     text = EMITTERS[args.format](result.rows, columns=result.spec.columns)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(result.rows)} rows to {args.output}", file=sys.stderr)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+    _write_out(text, args.output, f"wrote {len(result.rows)} rows to {args.output}")
     _finish(runner)
     return 0
 
@@ -409,7 +422,6 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     """`repro audit`: invariant-check the workload x platform matrix."""
     import dataclasses
-    import json
 
     from repro.harness.audit import (
         AUDIT_COLUMNS,
@@ -459,12 +471,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     else:
         rows = [o.to_row() for o in outcomes]
         text = EMITTERS["csv"](rows, columns=AUDIT_COLUMNS)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote audit report to {args.output}", file=sys.stderr)
-    elif text:
-        print(text, end="" if text.endswith("\n") else "\n")
+    _write_out(text, args.output, f"wrote audit report to {args.output}")
     verdict = "CLEAN" if report["ok"] else "VIOLATED"
     print(
         f"audit: {report['jobs']} jobs, {report['checks']} checks, "
@@ -481,16 +488,13 @@ def cmd_perf(args: argparse.Namespace) -> int:
         PERF_CASES,
         SMOKE_CASES,
         bench_payload,
-        compare_bench,
-        compare_bench_memory,
+        compare_tables,
         git_revision,
         load_bench,
         run_suite,
+        suite_table,
         write_bench,
     )
-
-    def _mib(n):
-        return f"{n / 2**20:.1f}" if n is not None else "n/a"
 
     cases = SMOKE_CASES if args.smoke else PERF_CASES
     if args.journal:
@@ -499,38 +503,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise SystemExit(f"repro: --journal: {exc}")
     measurements = run_suite(cases, repeats=args.repeats, journal=args.journal)
-    rows = []
-    for m in measurements:
-        speedup = m.speedup_vs_baseline
-        rows.append(
-            (
-                m.case,
-                m.events,
-                m.wall_s * 1e3,
-                m.events_per_sec,
-                m.baseline_events_per_sec or 0.0,
-                f"{speedup:.2f}x" if speedup else "n/a",
-                _mib(m.trace_peak_bytes),
-                _mib(m.peak_rss_bytes),
-            )
-        )
-    print(
-        format_table(
-            [
-                "case",
-                "events",
-                "wall_ms",
-                "events_per_sec",
-                "baseline_eps",
-                "speedup",
-                "trace_peak_mib",
-                "peak_rss_mib",
-            ],
-            rows,
-            title="simulation-core performance (best of "
-            f"{args.repeats} runs per case)",
-        )
-    )
+    print(suite_table(measurements, args.repeats))
     from datetime import datetime, timezone
 
     timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")  # reprolint: allow(R3) perf-history metadata stamp; never feeds a fingerprint
@@ -545,57 +518,18 @@ def cmd_perf(args: argparse.Namespace) -> int:
         old = load_bench(args.compare)
         if old is None:
             raise SystemExit(f"repro: --compare: cannot read {args.compare}")
-        comparisons, regressions = compare_bench(old, payload)
-        if not comparisons:
+        tables, regressed = compare_tables(old, payload, args.compare)
+        if not tables:
             print(
                 f"--compare: no cases in common with {args.compare}; "
                 "nothing to gate",
                 file=sys.stderr,
             )
             return 0
-        print(
-            format_table(
-                ["case", "old_eps", "new_eps", "ratio", "verdict"],
-                [
-                    (
-                        c.case,
-                        c.old_events_per_sec,
-                        c.new_events_per_sec,
-                        f"{c.ratio:.3f}",
-                        "REGRESSION" if c in regressions else "ok",
-                    )
-                    for c in comparisons
-                ],
-                title=f"perf comparison vs {args.compare} (gate: >10% loss)",
-            )
-        )
-        mem_comparisons, mem_regressions = compare_bench_memory(old, payload)
-        if mem_comparisons:
-            print(
-                format_table(
-                    ["case", "field", "old_mib", "new_mib", "ratio", "verdict"],
-                    [
-                        (
-                            c.case,
-                            c.field,
-                            _mib(c.old_bytes),
-                            _mib(c.new_bytes),
-                            f"{c.ratio:.3f}",
-                            "REGRESSION" if c in mem_regressions else "ok",
-                        )
-                        for c in mem_comparisons
-                    ],
-                    title=f"peak-memory comparison vs {args.compare} "
-                    "(gate: >25% growth)",
-                )
-            )
-        if regressions or mem_regressions:
-            names = ", ".join(
-                dict.fromkeys(
-                    [c.case for c in regressions]
-                    + [c.case for c in mem_regressions]
-                )
-            )
+        for table in tables:
+            print(table)
+        if regressed:
+            names = ", ".join(regressed)
             print(f"repro perf: regression gate FAILED: {names}", file=sys.stderr)
             return 1
     return 0
@@ -723,84 +657,8 @@ def cmd_scenario_list(_args: argparse.Namespace) -> int:
 
 def cmd_scenario_describe(args: argparse.Namespace) -> int:
     """`repro scenario describe`: spec, mix, policy and schedule."""
-    spec = _resolve_scenario(args.name)
-    print(f"{spec.name}  [{spec.title}]")
-    if spec.summary:
-        print(f"  {spec.summary}\n")
-    a = spec.arrivals
-    print(
-        f"  arrivals   : {a.kind}, offered load {a.offered_load:.0%}"
-        + (
-            f", on-fraction {a.on_fraction:.0%}, period {a.period_frac:.0%} "
-            "of horizon"
-            if a.kind == "bursty"
-            else f", depth {a.depth:.0%}, period {a.period_frac:.0%} of horizon"
-            if a.kind == "diurnal"
-            else ""
-        )
-    )
-    print(
-        f"  policy     : {spec.capacity_slots} SM slots, FIFO queue limit "
-        f"{spec.queue_limit}, horizon {spec.horizon_services:.0f} mean "
-        f"services, {spec.num_epochs} epochs, seed {spec.seed}"
-    )
-    if spec.degradation:
-        params = ", ".join(f"{k}={v}" for k, v in spec.degradation.params)
-        print(f"  degradation: {spec.degradation.kind} ({params or 'defaults'})")
-    print("  tenants:")
-    for t in spec.tenants:
-        print(
-            f"    {t.name:10s} {t.workload} on {t.platform}/{t.mode}, "
-            f"weight {t.weight:g}, {t.slots} slot(s), "
-            f"SLO {t.slo_multiplier:g}x solo service"
-        )
+    print(_resolve_scenario(args.name).describe())
     return 0
-
-
-def _print_scenario_result(result) -> None:
-    print(f"scenario        : {result.scenario} (seed {result.seed})")
-    print(f"horizon         : {result.horizon_ps / 1e6:.2f} us")
-    t = result.totals
-    print(
-        f"arrivals        : {t['arrivals']} "
-        f"(admitted {t['admitted']}, rejected {t['rejected']})"
-    )
-    print(
-        f"completed       : {t['completed']} "
-        f"({t['in_flight']} in flight at horizon)"
-    )
-    print(
-        f"slo violations  : {t['slo_violations']}   peak slots "
-        f"{t['max_slots_used']}/{result.capacity_slots}, peak queue "
-        f"{t['max_queued']}"
-    )
-    if result.degradation:
-        pairs = ", ".join(f"{k}={v:g}" for k, v in result.degradation.items())
-        print(f"degradation     : {pairs}")
-    rows = [
-        (
-            name,
-            f"{m['arrivals']:.0f}",
-            f"{m['rejected']:.0f}",
-            f"{m['completed']:.0f}",
-            f"{m['p50_latency_ps'] / 1e6:.2f}",
-            f"{m['p99_latency_ps'] / 1e6:.2f}",
-            f"{m['p99_queue_ps'] / 1e6:.2f}",
-            f"{m['slo_violations']:.0f}",
-        )
-        for name, m in result.tenants.items()
-    ]
-    print(
-        format_table(
-            [
-                "tenant", "arr", "rej", "done",
-                "p50 us", "p99 us", "q-p99 us", "slo-viol",
-            ],
-            rows,
-            title="per-tenant",
-        )
-    )
-    print(f"fingerprint     : {result.fingerprint()}")
 
 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
@@ -814,14 +672,10 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         payload = result.to_dict()
         payload["fingerprint"] = result.fingerprint()
         payload["checks_run"] = result.checks_run
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.output:
-            Path(args.output).write_text(text + "\n")
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            print(text)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write_out(text, args.output, f"wrote {args.output}")
     else:
-        _print_scenario_result(result)
+        print(result.report())
         if result.checks_run:
             print(f"audit           : {result.checks_run} checks passed")
     _finish(runner)
@@ -836,19 +690,12 @@ def _trace_source_arg(path: str):
     """Open a trace stage's input: a path, or ``-`` for stdin."""
     from repro.workloads.trace import FileTraceSource
 
-    try:
-        if path == "-":
-            return FileTraceSource(sys.stdin, label="<stdin>")
-        return FileTraceSource(path)
-    except FileNotFoundError as exc:
-        raise SystemExit(f"repro: trace file not found: {exc.filename or exc}")
-    except TraceFormatError as exc:
-        raise SystemExit(f"repro: {exc}")
-    except OSError as exc:
-        raise SystemExit(f"repro: cannot read trace: {exc}")
+    if path == "-":
+        return _read_trace(FileTraceSource, sys.stdin, label="<stdin>")
+    return _read_trace(FileTraceSource, path)
 
 
-def _pump_stage(source, transform=None) -> int:
+def _pump_stage(source, transform=None, passes: int = 1) -> int:
     """Round-robin a source's blocks through ``transform`` onto stdout.
 
     The stage skeleton every ``repro trace`` subcommand shares: pull one
@@ -857,36 +704,43 @@ def _pump_stage(source, transform=None) -> int:
     None`` (``None`` drops the warp — its stream is ended immediately,
     preserving the warp count and therefore SM placement), and emit the
     chunked v2 format.  Peak memory is one block per warp regardless of
-    trace length.
+    trace length.  ``passes > 1`` streams the whole source that many
+    times end to end (a re-streamable source only); every warp's end
+    marker then waits for the last pass.
     """
     from repro.workloads.trace import ChunkedTraceWriter
 
     writer = ChunkedTraceWriter(sys.stdout, source.meta)
-    live = source.streams()
-    # Dropped warps keep being pulled one block per round (discarded,
-    # never written): their records would otherwise park unboundedly in
-    # the shared demultiplexer while the surviving warps stream past
-    # them.  Once no warp is being *written* any more the stage exits
-    # without draining — early termination, upstream sees SIGPIPE.
-    drains: list = []
     try:
-        while live:
-            still = []
-            for stream in live:
-                block = stream.next_block()
-                if block is None:
-                    writer.end_warp(stream.warp_id)
-                    continue
-                if transform is not None:
-                    block = transform(stream.warp_id, stream, block)
+        for _ in range(passes):
+            live = source.streams()
+            # Dropped warps keep being pulled one block per round
+            # (discarded, never written): their records would otherwise
+            # park unboundedly in the shared demultiplexer while the
+            # surviving warps stream past them.  Once no warp is being
+            # *written* any more the stage exits without draining —
+            # early termination, upstream sees SIGPIPE.
+            drains: list = []
+            while live:
+                still = []
+                for stream in live:
+                    block = stream.next_block()
                     if block is None:
-                        writer.end_warp(stream.warp_id)
-                        drains.append(stream)
+                        if passes == 1:
+                            writer.end_warp(stream.warp_id)
                         continue
-                writer.write_block(stream.warp_id, *block, tenant=stream.tenant)
-                still.append(stream)
-            live = still
-            drains = [s for s in drains if s.next_block() is not None]
+                    if transform is not None:
+                        block = transform(stream.warp_id, stream, block)
+                        if block is None:
+                            writer.end_warp(stream.warp_id)
+                            drains.append(stream)
+                            continue
+                    writer.write_block(
+                        stream.warp_id, *block, tenant=stream.tenant
+                    )
+                    still.append(stream)
+                live = still
+                drains = [s for s in drains if s.next_block() is not None]
         writer.finish()
         sys.stdout.flush()
     except BrokenPipeError:
@@ -983,8 +837,6 @@ def cmd_trace_scale(args: argparse.Namespace) -> int:
     re-streamable input, i.e. a file path — stdin can only be read
     once and buffering it whole would defeat the streaming pipeline.
     """
-    from repro.workloads.trace import ChunkedTraceWriter
-
     factor = args.gaps
     repeat = args.repeat
     if repeat < 1:
@@ -1001,33 +853,7 @@ def cmd_trace_scale(args: argparse.Namespace) -> int:
         gaps, addrs, writes = block
         return ([max(0, int(g * factor)) for g in gaps], addrs, writes)
 
-    if repeat == 1:
-        return _pump_stage(_trace_source_arg(args.trace), transform)
-    source = _trace_source_arg(args.trace)
-    writer = ChunkedTraceWriter(sys.stdout, source.meta)
-    try:
-        for _rep in range(repeat):
-            live = source.streams()
-            while live:
-                still = []
-                for stream in live:
-                    block = stream.next_block()
-                    if block is None:
-                        continue
-                    block = transform(stream.warp_id, stream, block)
-                    writer.write_block(
-                        stream.warp_id, *block, tenant=stream.tenant
-                    )
-                    still.append(stream)
-                live = still
-        writer.finish()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    return 0
+    return _pump_stage(_trace_source_arg(args.trace), transform, passes=repeat)
 
 
 def cmd_trace_head(args: argparse.Namespace) -> int:
@@ -1056,12 +882,8 @@ def cmd_trace_head(args: argparse.Namespace) -> int:
     return _pump_stage(_trace_source_arg(args.trace), transform)
 
 
-def _batch_cache(args: argparse.Namespace, root) -> ResultCache:
-    """The cache a batch command stores/merges results through."""
-    try:
-        return ResultCache(args.cache_dir or (root / "cache"))
-    except OSError as exc:
-        raise SystemExit(f"repro: --cache-dir: {exc}")
+DEFAULT_BATCH_ROOT = ".repro-batch"
+DEFAULT_STORE_CACHE = f"{DEFAULT_BATCH_ROOT}/cache"
 
 
 def _print_batch_statuses(batches) -> None:
@@ -1081,7 +903,7 @@ def cmd_batch_run(args: argparse.Namespace) -> int:
     from repro.harness.experiments import batch_jobs_for
 
     _enable_log("repro.batch")
-    root = Path(args.batch_dir)
+    root = Path(args.batch_dir or DEFAULT_BATCH_ROOT)
     jobs = batch_jobs_for(tuple(args.experiments), _run_config(args))
     if not jobs:
         raise SystemExit(
@@ -1097,7 +919,7 @@ def cmd_batch_run(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         raise SystemExit(f"repro: --batch-dir: {exc}")
-    batch.run(make_executor(args.jobs), _batch_cache(args, root))
+    batch.run(make_executor(args.jobs), _open_cache(args.cache_dir or root / "cache"))
     _print_batch_statuses([batch])
     return 0
 
@@ -1126,7 +948,7 @@ def cmd_batch_resume(args: argparse.Namespace) -> int:
         return 0
     pending = [b for b in batches if not b.status().done]
     executor = make_executor(args.jobs)
-    cache = _batch_cache(args, root)
+    cache = _open_cache(args.cache_dir or root / "cache")
     # Resume *every* batch, not just journal-incomplete ones: run() is
     # a cheap cache probe for a healthy finished batch, and it re-runs
     # shards whose journaled results were pruned from the cache.
@@ -1161,12 +983,7 @@ def cmd_store_query(args: argparse.Namespace) -> int:
         text = EMITTERS[args.format](rows, columns=STORE_COLUMNS)
         if not text.endswith("\n"):
             text += "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(rows)} entries to {args.output}", file=sys.stderr)
-    else:
-        print(text, end="")
+    _write_out(text, args.output, f"wrote {len(rows)} entries to {args.output}")
     if store.skipped:
         print(f"store: skipped {store.skipped} unreadable entries", file=sys.stderr)
     return 0
@@ -1208,12 +1025,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
     _enable_log("repro.service")
     _enable_log("repro.batch")
-    cache = None
-    if args.cache_dir:
-        try:
-            cache = ResultCache(args.cache_dir)
-        except OSError as exc:
-            raise SystemExit(f"repro: --cache-dir: {exc}")
+    cache = _open_cache(args.cache_dir) if args.cache_dir else None
     stats = run_worker(
         args.root,
         args.owner,
@@ -1315,42 +1127,96 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Assemble the argparse tree for every subcommand."""
+    """Assemble the argparse tree for every subcommand.
+
+    A flag that several commands share is declared once, on a parent
+    parser (DESIGN.md section 16).  A command lists its parents in the
+    order its flags appear in ``--help``; argparse copies a parent's
+    flags ahead of the command's own, so a command's own flags that
+    precede a shared group sit on a small parent of their own.
+    """
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sizing(p):
-        p.add_argument("--warps", type=int, default=96)
-        p.add_argument("--accesses", type=int, default=64)
-        p.add_argument("--quick", action="store_true", help="small fast run")
-        p.add_argument(
-            "--jobs", type=_positive_int, default=None,
-            help="worker processes for the simulation matrix "
-            "(default: every available core; 1 runs in-process)",
-        )
-        p.add_argument(
-            "--cache-dir", default=None,
-            help="persist results here and reuse them across invocations",
-        )
-        p.add_argument(
-            "--batch-dir", default=None,
-            help="journal this command's simulation matrix as a sharded "
-            "batch under this directory (resumable after a kill)",
-        )
-        p.add_argument(
-            "--shard-size", type=_positive_int, default=DEFAULT_SHARD_SIZE,
-            help="jobs per journaled shard when batching "
-            f"(default: {DEFAULT_SHARD_SIZE})",
-        )
-        p.add_argument(
-            "--validate", action="store_true",
-            help="enable the cross-layer invariant audit (DESIGN.md "
-            "section 10); any violated conservation law aborts the run",
-        )
+    def flags(*parents) -> argparse.ArgumentParser:
+        """A parent parser: one run of flags for ``parents=``."""
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
-    p_run = sub.add_parser("run", help="simulate one platform/workload")
-    p_run.add_argument("--platform", choices=list(PLATFORMS), required=True)
-    run_src = p_run.add_mutually_exclusive_group(required=True)
+    # -- shared flag groups ---------------------------------------------
+    platform = flags()
+    platform.add_argument("--platform", choices=list(PLATFORMS), required=True)
+    mode = flags()
+    mode.add_argument("--mode", choices=[m.value for m in MemoryMode], default="planar")
+    workload = flags()
+    workload.add_argument("--workload", type=_workload, required=True)
+
+    cli_sizing = SIZING_PRESETS["cli"]
+    sizing = flags()
+    sizing.add_argument("--warps", type=_positive_int, default=cli_sizing.num_warps)
+    sizing.add_argument(
+        "--accesses", type=_positive_int, default=cli_sizing.accesses_per_warp
+    )
+    sizing.add_argument("--quick", action="store_true", help="small fast run")
+
+    jobs = flags()
+    jobs.add_argument(
+        "--jobs", type=_positive_int, default=None,
+        help="worker processes for the simulation matrix "
+        "(default: every available core; 1 runs in-process)",
+    )
+    execution = flags(jobs)
+    execution.add_argument(
+        "--cache-dir", default=None,
+        help="persist results here and reuse them across invocations",
+    )
+    execution.add_argument(
+        "--batch-dir", default=None,
+        help="journal this command's simulation matrix as a sharded "
+        "batch under this directory (resumable after a kill)",
+    )
+    execution.add_argument(
+        "--shard-size", type=_positive_int, default=DEFAULT_SHARD_SIZE,
+        help="jobs per journaled shard when batching "
+        f"(default: {DEFAULT_SHARD_SIZE})",
+    )
+    simulating = flags(sizing, execution)
+    simulating.add_argument(
+        "--validate", action="store_true",
+        help="enable the cross-layer invariant audit (DESIGN.md "
+        "section 10); any violated conservation law aborts the run",
+    )
+
+    output = flags()
+    output.add_argument(
+        "-o", "--output", default=None,
+        help="write to this file instead of stdout",
+    )
+    connect = flags()
+    connect.add_argument(
+        "--connect", default=DEFAULT_SERVICE_SOCKET,
+        help="daemon address: socket path, unix:<path> or host:port "
+        f"(default: {DEFAULT_SERVICE_SOCKET})",
+    )
+    batch_root = flags()
+    batch_root.add_argument(
+        "--batch-dir", default=DEFAULT_BATCH_ROOT,
+        help=f"batch root directory (default: {DEFAULT_BATCH_ROOT})",
+    )
+    store_cache = flags()
+    store_cache.add_argument(
+        "--cache-dir", default=DEFAULT_STORE_CACHE,
+        help=f"result cache directory (default: {DEFAULT_STORE_CACHE})",
+    )
+    trace_input = flags()
+    trace_input.add_argument(
+        "trace", nargs="?", default="-",
+        help="input trace file (v1 or v2, .jsonl/.jsonl.gz); "
+        "default `-` reads NDJSON from stdin",
+    )
+
+    # -- commands -------------------------------------------------------
+    run_source = flags()
+    run_src = run_source.add_mutually_exclusive_group(required=True)
     run_src.add_argument(
         "--workload", type=_workload,
         help="a registered workload name (see `repro workloads list`) "
@@ -1362,18 +1228,21 @@ def build_parser() -> argparse.ArgumentParser:
         "`repro trace ...` pipeline); sizing flags are ignored, the "
         "stream fixes the warp count and access streams",
     )
-    p_run.add_argument("--mode", choices=[m.value for m in MemoryMode], default="planar")
-    p_run.add_argument(
+    run_debug = flags()
+    run_debug.add_argument(
         "--profile", action="store_true",
         help="wrap the simulation in cProfile and print the top-25 "
         "cumulative entries",
     )
-    p_run.add_argument(
+    run_debug.add_argument(
         "--record-trace", default=None, metavar="PATH",
         help="record the executed per-warp access stream to PATH "
         "(.jsonl or .jsonl.gz) for later replay",
     )
-    add_sizing(p_run)
+    p_run = sub.add_parser(
+        "run", help="simulate one platform/workload",
+        parents=[platform, run_source, mode, run_debug, simulating],
+    )
     p_run.set_defaults(fn=cmd_run)
 
     p_trace = sub.add_parser(
@@ -1383,25 +1252,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_sub = p_trace.add_subparsers(dest="trace_cmd", required=True)
 
-    def add_trace_input(p) -> None:
-        p.add_argument(
-            "trace", nargs="?", default="-",
-            help="input trace file (v1 or v2, .jsonl/.jsonl.gz); "
-            "default `-` reads NDJSON from stdin",
-        )
-
     p_t_cat = trace_sub.add_parser(
-        "cat", help="normalize any trace to the chunked NDJSON stream format"
+        "cat", help="normalize any trace to the chunked NDJSON stream format",
+        parents=[trace_input],
     )
-    add_trace_input(p_t_cat)
     p_t_cat.set_defaults(fn=cmd_trace_cat)
 
     p_t_filter = trace_sub.add_parser(
         "filter",
         help="keep selected warps (others stay as empty streams, "
         "preserving warp count and SM placement)",
+        parents=[trace_input],
     )
-    add_trace_input(p_t_filter)
     p_t_filter.add_argument(
         "--warps", default=None, metavar="SPEC",
         help="warp ids to keep, e.g. '0,2-5,9'",
@@ -1412,9 +1274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_t_filter.set_defaults(fn=cmd_trace_filter)
 
     p_t_remap = trace_sub.add_parser(
-        "remap", help="shift (and optionally wrap) every address"
+        "remap", help="shift (and optionally wrap) every address",
+        parents=[trace_input],
     )
-    add_trace_input(p_t_remap)
     p_t_remap.add_argument(
         "--offset", type=int, default=0, metavar="BYTES",
         help="byte offset added to every address",
@@ -1426,9 +1288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_t_remap.set_defaults(fn=cmd_trace_remap)
 
     p_t_scale = trace_sub.add_parser(
-        "scale", help="rescale compute gaps and/or repeat the stream"
+        "scale", help="rescale compute gaps and/or repeat the stream",
+        parents=[trace_input],
     )
-    add_trace_input(p_t_scale)
     p_t_scale.add_argument(
         "--gaps", type=float, default=1.0, metavar="FACTOR",
         help="multiply every compute gap by FACTOR (intensity scaling)",
@@ -1443,18 +1305,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_t_head = trace_sub.add_parser(
         "head",
         help="first N ops of every warp; stops reading upstream early",
+        parents=[trace_input],
     )
-    add_trace_input(p_t_head)
     p_t_head.add_argument(
         "--ops", type=int, required=True, metavar="N",
         help="ops to keep per warp",
     )
     p_t_head.set_defaults(fn=cmd_trace_head)
 
-    p_cmp = sub.add_parser("compare", help="all platforms on one workload")
-    p_cmp.add_argument("--workload", type=_workload, required=True)
-    p_cmp.add_argument("--mode", choices=[m.value for m in MemoryMode], default="planar")
-    add_sizing(p_cmp)
+    p_cmp = sub.add_parser(
+        "compare", help="all platforms on one workload",
+        parents=[workload, mode, simulating],
+    )
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_wl = sub.add_parser(
@@ -1471,30 +1333,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_wl_desc.add_argument("name")
     p_wl_desc.set_defaults(fn=cmd_workloads_describe)
 
-    p_wl_rec = wl_sub.add_parser(
-        "record", help="simulate once and dump the per-warp access trace"
-    )
-    p_wl_rec.add_argument("--platform", choices=list(PLATFORMS), required=True)
-    p_wl_rec.add_argument("--workload", type=_workload, required=True)
-    p_wl_rec.add_argument(
-        "--mode", choices=[m.value for m in MemoryMode], default="planar"
-    )
-    p_wl_rec.add_argument(
+    rec_output = flags()
+    rec_output.add_argument(
         "-o", "--output", required=True,
         help="trace path (.jsonl, or .jsonl.gz for compression)",
     )
-    add_sizing(p_wl_rec)
+    p_wl_rec = wl_sub.add_parser(
+        "record", help="simulate once and dump the per-warp access trace",
+        parents=[platform, workload, mode, rec_output, simulating],
+    )
     p_wl_rec.set_defaults(fn=cmd_workloads_record)
 
+    rep_trace = flags()
+    rep_trace.add_argument("--trace", required=True, help="recorded trace path")
     p_wl_rep = wl_sub.add_parser(
-        "replay", help="re-simulate a recorded trace as the workload"
+        "replay", help="re-simulate a recorded trace as the workload",
+        parents=[rep_trace, platform, mode, simulating],
     )
-    p_wl_rep.add_argument("--trace", required=True, help="recorded trace path")
-    p_wl_rep.add_argument("--platform", choices=list(PLATFORMS), required=True)
-    p_wl_rep.add_argument(
-        "--mode", choices=[m.value for m in MemoryMode], default="planar"
-    )
-    add_sizing(p_wl_rep)
     p_wl_rep.set_defaults(fn=cmd_workloads_replay)
 
     p_scn = sub.add_parser(
@@ -1515,23 +1370,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn_desc.add_argument("name")
     p_scn_desc.set_defaults(fn=cmd_scenario_describe)
 
+    scn_report = flags()
+    scn_report.add_argument(
+        "--format", choices=["table", "json"], default="table",
+        help="report format (default: table)",
+    )
+    scn_report.add_argument(
+        "-o", "--output", default=None,
+        help="write the json report to this file instead of stdout",
+    )
     p_scn_run = scn_sub.add_parser(
         "run",
         help="run one open-loop scenario: measure per-class service "
         "times (cached/journaled), replay the seeded arrival stream "
         "through admission and capacity queueing, report per-tenant "
         "p50/p99 latency, queueing delay and SLO violations",
+        parents=[scn_report, simulating],
     )
     p_scn_run.add_argument("name")
-    p_scn_run.add_argument(
-        "--format", choices=["table", "json"], default="table",
-        help="report format (default: table)",
-    )
-    p_scn_run.add_argument(
-        "-o", "--output", default=None,
-        help="write the json report to this file instead of stdout",
-    )
-    add_sizing(p_scn_run)
     p_scn_run.set_defaults(fn=cmd_scenario_run)
 
     p_batch = sub.add_parser(
@@ -1539,41 +1395,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_sub = p_batch.add_subparsers(dest="batch_command", required=True)
 
-    p_b_run = batch_sub.add_parser(
-        "run", help="shard experiments' job matrices into a journaled batch"
-    )
-    p_b_run.add_argument(
+    batch_exps = flags()
+    batch_exps.add_argument(
         "--experiment", dest="experiments", nargs="+", required=True,
         choices=list(EXPERIMENTS), metavar="NAME",
         help="experiments whose job matrices to batch (union, deduplicated)",
     )
-    add_sizing(p_b_run)  # also provides --batch-dir; default it for `batch run`
-    p_b_run.set_defaults(fn=cmd_batch_run, batch_dir=".repro-batch")
+    # --batch-dir comes from the execution group; cmd_batch_run defaults
+    # it to DEFAULT_BATCH_ROOT (a set_defaults here would rewrite the
+    # shared flag's default for every command).
+    p_b_run = batch_sub.add_parser(
+        "run", help="shard experiments' job matrices into a journaled batch",
+        parents=[batch_exps, simulating],
+    )
+    p_b_run.set_defaults(fn=cmd_batch_run)
 
     p_b_status = batch_sub.add_parser(
-        "status", help="shard progress of every batch under a root"
-    )
-    p_b_status.add_argument(
-        "--batch-dir", default=".repro-batch",
-        help="batch root directory (default: .repro-batch)",
+        "status", help="shard progress of every batch under a root",
+        parents=[batch_root],
     )
     p_b_status.set_defaults(fn=cmd_batch_status)
 
-    p_b_resume = batch_sub.add_parser(
-        "resume", help="finish every incomplete batch exactly where it stopped"
-    )
-    p_b_resume.add_argument(
-        "--batch-dir", default=".repro-batch",
-        help="batch root directory (default: .repro-batch)",
-    )
-    p_b_resume.add_argument(
+    resume_id = flags()
+    resume_id.add_argument(
         "--id", default=None,
         help="only resume the batch whose id starts with this prefix",
     )
-    p_b_resume.add_argument(
-        "--jobs", type=_positive_int, default=None,
-        help="worker processes for the resumed shards "
-        "(default: every available core; 1 runs in-process)",
+    p_b_resume = batch_sub.add_parser(
+        "resume", help="finish every incomplete batch exactly where it stopped",
+        parents=[batch_root, resume_id, jobs],
     )
     p_b_resume.add_argument(
         "--cache-dir", default=None,
@@ -1586,38 +1436,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
 
-    p_s_query = store_sub.add_parser(
-        "query", help="filter cached results by job facets"
-    )
-    p_s_query.add_argument(
-        "--cache-dir", default=".repro-batch/cache",
-        help="cache directory to index (default: .repro-batch/cache)",
-    )
-    p_s_query.add_argument("--platform", default=None, help="exact platform name")
-    p_s_query.add_argument("--workload", default=None, help="exact workload name")
-    p_s_query.add_argument(
+    query_facets = flags()
+    query_facets.add_argument("--platform", default=None, help="exact platform name")
+    query_facets.add_argument("--workload", default=None, help="exact workload name")
+    query_facets.add_argument(
         "--mode", choices=[m.value for m in MemoryMode], default=None
     )
-    p_s_query.add_argument(
+    query_facets.add_argument(
         "--include-stale", action="store_true",
         help="also list entries written under stale schema versions",
     )
-    p_s_query.add_argument(
+    query_facets.add_argument(
         "--format", choices=["table", *EMITTERS], default="table",
         help="output format (default: table)",
     )
-    p_s_query.add_argument(
-        "-o", "--output", default=None,
-        help="write to this file instead of stdout",
+    p_s_query = store_sub.add_parser(
+        "query", help="filter cached results by job facets",
+        parents=[store_cache, query_facets, output],
     )
     p_s_query.set_defaults(fn=cmd_store_query)
 
     p_s_gc = store_sub.add_parser(
-        "gc", help="remove stale-schema entries and orphaned temp files"
-    )
-    p_s_gc.add_argument(
-        "--cache-dir", default=".repro-batch/cache",
-        help="cache directory to collect (default: .repro-batch/cache)",
+        "gc", help="remove stale-schema entries and orphaned temp files",
+        parents=[store_cache],
     )
     p_s_gc.add_argument(
         "--dry-run", action="store_true",
@@ -1696,33 +1537,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.set_defaults(fn=cmd_worker)
 
-    p_submit = sub.add_parser(
-        "submit", help="send a job matrix to the service daemon"
-    )
-    p_submit.add_argument(
+    submit_source = flags()
+    submit_source.add_argument(
         "--experiment", dest="experiments", nargs="+", default=[],
         choices=list(EXPERIMENTS), metavar="NAME",
         help="experiments whose simulation matrices to submit "
         "(union, deduplicated)",
     )
-    p_submit.add_argument(
+    submit_source.add_argument(
         "--stdin-jobs", action="store_true",
         help="read NDJSON job records (SimulationJob.to_dict shape) "
         "from stdin instead of expanding experiments",
     )
-    p_submit.add_argument(
-        "--connect", default=DEFAULT_SERVICE_SOCKET,
-        help="daemon address: socket path, unix:<path> or host:port "
-        f"(default: {DEFAULT_SERVICE_SOCKET})",
-    )
-    p_submit.add_argument(
+    submit_batch = flags()
+    submit_batch.add_argument(
         "--shard-size", type=_positive_int, default=DEFAULT_SHARD_SIZE,
         help=f"jobs per leased shard (default: {DEFAULT_SHARD_SIZE})",
     )
-    p_submit.add_argument("--label", default=None, help="batch label")
-    p_submit.add_argument("--warps", type=int, default=96)
-    p_submit.add_argument("--accesses", type=int, default=64)
-    p_submit.add_argument("--quick", action="store_true", help="small fast run")
+    submit_batch.add_argument("--label", default=None, help="batch label")
+    p_submit = sub.add_parser(
+        "submit", help="send a job matrix to the service daemon",
+        parents=[submit_source, connect, submit_batch, sizing],
+    )
     p_submit.add_argument(
         "--validate", action="store_true",
         help="submit the jobs with the invariant audit armed",
@@ -1732,14 +1568,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch = sub.add_parser(
         "watch",
         help="stream a batch's completed shards as NDJSON (tails live)",
+        parents=[connect],
     )
     p_watch.add_argument(
         "batch", help="batch id (any unambiguous prefix) or b-<dir> name"
-    )
-    p_watch.add_argument(
-        "--connect", default=DEFAULT_SERVICE_SOCKET,
-        help="daemon address: socket path, unix:<path> or host:port "
-        f"(default: {DEFAULT_SERVICE_SOCKET})",
     )
     p_watch.add_argument(
         "--no-results", action="store_true",
@@ -1752,73 +1584,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_watch.set_defaults(fn=cmd_watch)
 
-    p_exp = sub.add_parser("experiment", help="regenerate a figure/table")
+    p_exp = sub.add_parser(
+        "experiment", help="regenerate a figure/table", parents=[simulating]
+    )
     p_exp.add_argument("name", choices=list(EXPERIMENTS))
-    add_sizing(p_exp)
     p_exp.set_defaults(fn=cmd_experiment)
 
-    p_export = sub.add_parser(
-        "export", help="emit a figure/table as structured data"
-    )
-    p_export.add_argument("name", choices=list(EXPERIMENTS))
-    p_export.add_argument(
+    export_format = flags()
+    export_format.add_argument(
         "--format", choices=list(EMITTERS), default="json",
         help="output format (default: json)",
     )
-    p_export.add_argument(
-        "-o", "--output", default=None,
-        help="write to this file instead of stdout",
+    p_export = sub.add_parser(
+        "export", help="emit a figure/table as structured data",
+        parents=[export_format, output, simulating],
     )
-    add_sizing(p_export)
+    p_export.add_argument("name", choices=list(EXPERIMENTS))
     p_export.set_defaults(fn=cmd_export)
 
-    p_audit = sub.add_parser(
-        "audit",
-        help="invariant-check the workload x platform matrix "
-        "(cross-layer conservation laws, DESIGN.md section 10)",
-    )
-    p_audit.add_argument(
+    audit_scope = flags()
+    audit_scope.add_argument(
         "--smoke", action="store_true",
         help="CI-sized gate: a representative workload subset at small "
         "sizing instead of the full registry",
     )
-    p_audit.add_argument(
+    audit_scope.add_argument(
         "--platform", nargs="*", choices=list(PLATFORMS), metavar="NAME",
         help="restrict to these platforms (default: all)",
     )
-    p_audit.add_argument(
+    audit_scope.add_argument(
         "--workload", nargs="*", type=_workload, metavar="NAME",
         help="restrict to these workloads (default: the full registry)",
     )
-    p_audit.add_argument(
+    audit_scope.add_argument(
         "--mode", choices=[m.value for m in MemoryMode], default=None,
         help="restrict to one memory mode (default: both)",
     )
-    p_audit.add_argument(
+    audit_scope.add_argument(
         "--warps", type=_positive_int, default=None,
         help="override the audit sizing's warp count",
     )
-    p_audit.add_argument(
+    audit_scope.add_argument(
         "--accesses", type=_positive_int, default=None,
         help="override the audit sizing's accesses per warp",
     )
-    p_audit.add_argument(
-        "--jobs", type=_positive_int, default=None,
-        help="worker processes for the audit matrix "
-        "(default: every available core; 1 runs in-process)",
-    )
-    p_audit.add_argument(
+    audit_report = flags()
+    audit_report.add_argument(
         "--journal", default=None, metavar="PATH",
         help="journal each audited job to this JSONL file and resume "
         "from it on re-invocation (skips already-audited jobs)",
     )
-    p_audit.add_argument(
+    audit_report.add_argument(
         "--format", choices=["table", *EMITTERS], default="table",
         help="report format (default: table of violating jobs only)",
     )
-    p_audit.add_argument(
-        "-o", "--output", default=None,
-        help="write the report to this file instead of stdout",
+    p_audit = sub.add_parser(
+        "audit",
+        help="invariant-check the workload x platform matrix "
+        "(cross-layer conservation laws, DESIGN.md section 10)",
+        parents=[audit_scope, jobs, audit_report, output],
     )
     p_audit.set_defaults(fn=cmd_audit)
 

@@ -29,6 +29,7 @@ from repro.gpu.gpu import GpuModel
 from repro.harness.batch import append_jsonl, read_jsonl
 from repro.harness.cache import job_fingerprint
 from repro.harness.executor import (
+    SIZING_PRESETS,
     RunConfig,
     SerialExecutor,
     SimulationJob,
@@ -58,10 +59,10 @@ AUDIT_COLUMNS = (
 SMOKE_WORKLOADS = ("pagerank", "backp", "gemm_reuse", "stream_scan", "mix_gemm_chase")
 SMOKE_SIZING = RunConfig(num_warps=24, accesses_per_warp=24)
 
-#: Default sizing of the full sweep; big enough that every slice type
-#: faults/migrates/swaps, small enough that the ~270-job matrix stays
-#: in whole-minutes territory on one core.
-DEFAULT_SIZING = RunConfig(num_warps=48, accesses_per_warp=32)
+#: Default sizing of the full sweep (the ``quick`` preset); big enough
+#: that every slice type faults/migrates/swaps, small enough that the
+#: ~270-job matrix stays in whole-minutes territory on one core.
+DEFAULT_SIZING = SIZING_PRESETS["quick"]
 
 
 @dataclass(frozen=True)

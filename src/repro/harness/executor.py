@@ -105,6 +105,20 @@ class RunConfig:
         return cls(**data)
 
 
+#: The named sizings every front end draws from, so no warps x accesses
+#: pair is spelled out twice: ``quick`` is the CLI's ``--quick``, the
+#: perf smoke cases and the full audit sweep; ``cli`` is the default of
+#: the CLI's ``--warps``/``--accesses``; ``bench`` is the figure benches'
+#: and the full perf cases' sizing, chosen so that Origin's working set
+#: exceeds its DRAM.  ``RunConfig()`` itself (192 x 80) is the API
+#: default and is not one of them (ROADMAP item 7 weighs a single one).
+SIZING_PRESETS = {
+    "quick": RunConfig(num_warps=48, accesses_per_warp=32),
+    "cli": RunConfig(num_warps=96, accesses_per_warp=64),
+    "bench": RunConfig(num_warps=192, accesses_per_warp=96),
+}
+
+
 @dataclass(frozen=True)
 class SimulationJob:
     """Pure description of one (platform, workload, mode) simulation.

@@ -4,16 +4,16 @@ DESIGN.md section 5 for the figure -> spec mapping).
 Each figure is declared as an :class:`ExperimentSpec`: the job matrix it
 needs, a *reducer* that folds the evaluated results into the figure
 payload, and a *tabulator* that flattens the payload into schema'd rows
-for the json/csv exporters.  The module-level ``figureNN`` functions are
-thin wrappers kept for tests, benchmarks and notebooks; they evaluate
-the same specs through a :class:`Runner`, so serial, parallel and cached
-execution all produce identical data.
+for the json/csv exporters.  Callers evaluate a spec through a
+:class:`Runner` (``run_spec(make_fig16_spec(), runner).payload``, or
+``run_experiment(name)`` for the registered defaults), so serial,
+parallel and cached execution all produce identical data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import MemoryMode, default_config
 from repro.core.platforms import PLATFORMS
@@ -24,9 +24,8 @@ from repro.harness.registry import (
     JobResults,
     get_experiment,
     register,
-    run_spec,
 )
-from repro.harness.runner import ALL_WORKLOADS, RunConfig, Runner, SimulationJob
+from repro.harness.runner import ALL_WORKLOADS, RunConfig, SimulationJob
 from repro.hoststorage.gpudirect import GpuSsdSystem
 from repro.optical.ber import LinkBudget, figure20b_budgets
 from repro.optical.layout import (
@@ -188,11 +187,6 @@ def make_fig3_spec(workloads: Tuple[str, ...] = ALL_WORKLOADS) -> ExperimentSpec
     )
 
 
-def figure3(workloads: Tuple[str, ...] = ALL_WORKLOADS) -> List[dict]:
-    """Fig. 3a+3b: GPU+SSD execution and memory-subsystem breakdowns."""
-    return run_spec(make_fig3_spec(workloads), Runner()).payload
-
-
 # --------------------------------------------------------------------
 # Fig. 8 — baseline migration overhead
 # --------------------------------------------------------------------
@@ -226,13 +220,6 @@ def make_fig8_spec(workloads: Tuple[str, ...] = ALL_WORKLOADS) -> ExperimentSpec
         reduce=_fig8_reduce(workloads),
         tabulate=_figure_rows(series="metric"),
     )
-
-
-def figure8(
-    runner: Runner, workloads: Tuple[str, ...] = ALL_WORKLOADS
-) -> Dict[str, FigureData]:
-    """Fig. 8: baseline migration bandwidth share + latency vs Oracle."""
-    return run_spec(make_fig8_spec(workloads), runner).payload
 
 
 # --------------------------------------------------------------------
@@ -270,15 +257,6 @@ def make_fig16_spec(
     )
 
 
-def figure16(
-    runner: Runner,
-    workloads: Tuple[str, ...] = ALL_WORKLOADS,
-    platforms: Tuple[str, ...] = FIG16_PLATFORMS,
-) -> Dict[str, FigureData]:
-    """Fig. 16: IPC normalized to Ohm-base, both modes."""
-    return run_spec(make_fig16_spec(workloads, platforms), runner).payload
-
-
 # --------------------------------------------------------------------
 # Fig. 17 — mean memory latency normalized to Ohm-base
 # --------------------------------------------------------------------
@@ -314,13 +292,6 @@ def make_fig17_spec(workloads: Tuple[str, ...] = ALL_WORKLOADS) -> ExperimentSpe
     )
 
 
-def figure17(
-    runner: Runner, workloads: Tuple[str, ...] = ALL_WORKLOADS
-) -> Dict[str, FigureData]:
-    """Fig. 17: mean memory latency normalized to Ohm-base."""
-    return run_spec(make_fig17_spec(workloads), runner).payload
-
-
 # --------------------------------------------------------------------
 # Fig. 18 — migration share of channel bandwidth
 # --------------------------------------------------------------------
@@ -349,13 +320,6 @@ def make_fig18_spec(workloads: Tuple[str, ...] = ALL_WORKLOADS) -> ExperimentSpe
         reduce=_fig18_reduce(workloads),
         tabulate=_figure_rows(),
     )
-
-
-def figure18(
-    runner: Runner, workloads: Tuple[str, ...] = ALL_WORKLOADS
-) -> Dict[str, FigureData]:
-    """Fig. 18: fraction of channel bandwidth consumed by migration."""
-    return run_spec(make_fig18_spec(workloads), runner).payload
 
 
 # --------------------------------------------------------------------
@@ -408,13 +372,6 @@ def make_fig19_spec(workloads: Tuple[str, ...] = ALL_WORKLOADS) -> ExperimentSpe
         reduce=_fig19_reduce(workloads),
         tabulate=_fig19_tabulate,
     )
-
-
-def figure19(
-    runner: Runner, workloads: Tuple[str, ...] = ALL_WORKLOADS
-) -> Dict[str, Dict[Tuple[str, str], EnergyBreakdown]]:
-    """Fig. 19: energy breakdown per platform and workload."""
-    return run_spec(make_fig19_spec(workloads), runner).payload
 
 
 # --------------------------------------------------------------------
@@ -481,24 +438,6 @@ def make_fig20a_spec(
     )
 
 
-def figure20a(
-    workloads: Tuple[str, ...] = FIG20A_WORKLOADS,
-    waveguide_counts: Tuple[int, ...] = FIG20A_WAVEGUIDES,
-    run_cfg: Optional[RunConfig] = None,
-    runner: Optional[Runner] = None,
-) -> List[dict]:
-    """Fig. 20a: performance vs number of optical waveguides.
-
-    Normalized to Hetero (the electrical baseline), planar mode.
-    Sizing comes from ``run_cfg`` — or from ``runner.run_cfg`` when a
-    shared runner is supplied instead (passing both is ambiguous).
-    """
-    if runner is not None and run_cfg is not None:
-        raise ValueError("pass either run_cfg or runner, not both")
-    runner = runner or Runner(run_cfg or RunConfig())
-    return run_spec(make_fig20a_spec(workloads, waveguide_counts), runner).payload
-
-
 # --------------------------------------------------------------------
 # Fig. 20b — BER link budgets (analytic)
 # --------------------------------------------------------------------
@@ -512,11 +451,6 @@ def make_fig20b_spec() -> ExperimentSpec:
         reduce=_fig20b_reduce,
         tabulate=_fig20b_tabulate,
     )
-
-
-def figure20b() -> List[LinkBudget]:
-    """Fig. 20b: BER of each platform/function."""
-    return run_spec(make_fig20b_spec(), Runner()).payload
 
 
 # --------------------------------------------------------------------
@@ -560,11 +494,6 @@ def make_fig15_spec() -> ExperimentSpec:
         reduce=_fig15_reduce,
         tabulate=_rows_as_is,
     )
-
-
-def figure15() -> List[dict]:
-    """Fig. 15 / Section V-C: MRR counts per layout and reductions."""
-    return run_spec(make_fig15_spec(), Runner()).payload
 
 
 # --------------------------------------------------------------------
@@ -611,11 +540,6 @@ def make_table3_spec() -> ExperimentSpec:
     )
 
 
-def table3() -> List[dict]:
-    """Table III: bill of materials + cost deltas."""
-    return run_spec(make_table3_spec(), Runner()).payload
-
-
 # --------------------------------------------------------------------
 # Fig. 21 — cost-performance
 # --------------------------------------------------------------------
@@ -647,13 +571,6 @@ def make_fig21_spec(workloads: Tuple[str, ...] = ALL_WORKLOADS) -> ExperimentSpe
         reduce=_fig21_reduce(workloads),
         tabulate=_figure_rows(),
     )
-
-
-def figure21(
-    runner: Runner, workloads: Tuple[str, ...] = ALL_WORKLOADS
-) -> Dict[str, FigureData]:
-    """Fig. 21: cost-performance ratio of Origin / Ohm-BW / Oracle."""
-    return run_spec(make_fig21_spec(workloads), runner).payload
 
 
 # --------------------------------------------------------------------
@@ -727,11 +644,6 @@ def make_families_spec() -> ExperimentSpec:
     )
 
 
-def families(runner: Runner) -> List[dict]:
-    """Evaluate the families sensitivity sweep under ``runner``."""
-    return run_spec(make_families_spec(), runner).payload
-
-
 # --------------------------------------------------------------------
 # Headline — abstract claims
 # --------------------------------------------------------------------
@@ -768,15 +680,6 @@ def make_headline_spec(workloads: Tuple[str, ...] = ALL_WORKLOADS) -> Experiment
         reduce=_headline_reduce(workloads),
         tabulate=_payload_as_row,
     )
-
-
-def headline(runner: Runner, workloads: Tuple[str, ...] = ALL_WORKLOADS) -> dict:
-    """Abstract claim: Ohm-BW vs Origin (+181 %) and vs Ohm-base (+27 %).
-
-    Speedups are aggregated with the geometric mean, the standard
-    aggregation for performance ratios.
-    """
-    return run_spec(make_headline_spec(workloads), runner).payload
 
 
 # Register the default-parameter spec of every figure/table.  The CLI

@@ -27,13 +27,14 @@ from typing import Dict, List, Optional, Sequence
 from repro.config import MemoryMode
 from repro.core.platforms import PLATFORMS
 from repro.gpu.gpu import GpuModel
-from repro.harness.executor import RunConfig, SimulationJob, traces_for
+from repro.harness.executor import SIZING_PRESETS, RunConfig, SimulationJob, traces_for
+from repro.harness.report import format_table
 from repro.workloads.registry import get_workload
 
 #: Figure-sized jobs (the shape the experiment matrix runs at) plus
 #: quick smoke variants for CI.  "headline" is the acceptance case.
-_FULL_SIZING = RunConfig(num_warps=192, accesses_per_warp=96)
-_SMOKE_SIZING = RunConfig(num_warps=48, accesses_per_warp=32)
+_FULL_SIZING = SIZING_PRESETS["bench"]
+_SMOKE_SIZING = SIZING_PRESETS["quick"]
 
 
 @dataclass(frozen=True)
@@ -538,3 +539,94 @@ def compare_bench_memory(
         )
     regressions = [c for c in comparisons if c.is_regression(threshold)]
     return comparisons, regressions
+
+
+# -- reports ----------------------------------------------------------------
+
+
+def _mib(n: Optional[int]) -> str:
+    return f"{n / 2**20:.1f}" if n is not None else "n/a"
+
+
+def suite_table(measurements: Sequence[PerfMeasurement], repeats: int) -> str:
+    """The ``repro perf`` report: one row per measured case."""
+    rows = []
+    for m in measurements:
+        speedup = m.speedup_vs_baseline
+        rows.append(
+            (
+                m.case,
+                m.events,
+                m.wall_s * 1e3,
+                m.events_per_sec,
+                m.baseline_events_per_sec or 0.0,
+                f"{speedup:.2f}x" if speedup else "n/a",
+                _mib(m.trace_peak_bytes),
+                _mib(m.peak_rss_bytes),
+            )
+        )
+    return format_table(
+        [
+            "case",
+            "events",
+            "wall_ms",
+            "events_per_sec",
+            "baseline_eps",
+            "speedup",
+            "trace_peak_mib",
+            "peak_rss_mib",
+        ],
+        rows,
+        title=f"simulation-core performance (best of {repeats} runs per case)",
+    )
+
+
+def compare_tables(
+    old_payload: dict, new_payload: dict, against: str
+) -> tuple[List[str], List[str]]:
+    """The ``repro perf --compare`` gate against the bench file ``against``.
+
+    Returns the diff tables to print (none when the two documents share
+    no case) and the names of the cases that regressed in events/sec or
+    peak memory, in first-seen order.
+    """
+    comparisons, regressions = compare_bench(old_payload, new_payload)
+    if not comparisons:
+        return [], []
+    tables = [
+        format_table(
+            ["case", "old_eps", "new_eps", "ratio", "verdict"],
+            [
+                (
+                    c.case,
+                    c.old_events_per_sec,
+                    c.new_events_per_sec,
+                    f"{c.ratio:.3f}",
+                    "REGRESSION" if c in regressions else "ok",
+                )
+                for c in comparisons
+            ],
+            title=f"perf comparison vs {against} (gate: >10% loss)",
+        )
+    ]
+    mem_comparisons, mem_regressions = compare_bench_memory(old_payload, new_payload)
+    if mem_comparisons:
+        tables.append(
+            format_table(
+                ["case", "field", "old_mib", "new_mib", "ratio", "verdict"],
+                [
+                    (
+                        c.case,
+                        c.field,
+                        _mib(c.old_bytes),
+                        _mib(c.new_bytes),
+                        f"{c.ratio:.3f}",
+                        "REGRESSION" if c in mem_regressions else "ok",
+                    )
+                    for c in mem_comparisons
+                ],
+                title=f"peak-memory comparison vs {against} (gate: >25% growth)",
+            )
+        )
+    regressed = [c.case for c in regressions] + [c.case for c in mem_regressions]
+    return tables, list(dict.fromkeys(regressed))

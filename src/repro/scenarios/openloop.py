@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.config import MemoryMode
 from repro.harness.executor import SimulationJob
+from repro.harness.report import format_table
 from repro.harness.runner import Runner
 from repro.scenarios.arrivals import arrival_times_ps
 from repro.scenarios.degradation import Schedule, build_schedule
@@ -75,6 +76,49 @@ class ScenarioResult:
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(payload.encode()).hexdigest()
+
+    def report(self) -> str:
+        """The ``repro scenario run`` text: totals and per-tenant table."""
+        t = self.totals
+        lines = [
+            f"scenario        : {self.scenario} (seed {self.seed})",
+            f"horizon         : {self.horizon_ps / 1e6:.2f} us",
+            f"arrivals        : {t['arrivals']} "
+            f"(admitted {t['admitted']}, rejected {t['rejected']})",
+            f"completed       : {t['completed']} "
+            f"({t['in_flight']} in flight at horizon)",
+            f"slo violations  : {t['slo_violations']}   peak slots "
+            f"{t['max_slots_used']}/{self.capacity_slots}, peak queue "
+            f"{t['max_queued']}",
+        ]
+        if self.degradation:
+            pairs = ", ".join(f"{k}={v:g}" for k, v in self.degradation.items())
+            lines.append(f"degradation     : {pairs}")
+        rows = [
+            (
+                name,
+                f"{m['arrivals']:.0f}",
+                f"{m['rejected']:.0f}",
+                f"{m['completed']:.0f}",
+                f"{m['p50_latency_ps'] / 1e6:.2f}",
+                f"{m['p99_latency_ps'] / 1e6:.2f}",
+                f"{m['p99_queue_ps'] / 1e6:.2f}",
+                f"{m['slo_violations']:.0f}",
+            )
+            for name, m in self.tenants.items()
+        ]
+        lines.append(
+            format_table(
+                [
+                    "tenant", "arr", "rej", "done",
+                    "p50 us", "p99 us", "q-p99 us", "slo-viol",
+                ],
+                rows,
+                title="per-tenant",
+            )
+        )
+        lines.append(f"fingerprint     : {self.fingerprint()}")
+        return "\n".join(lines)
 
 
 def _scenario_seed(spec: ScenarioSpec, run_seed: int) -> int:

@@ -86,6 +86,42 @@ class ScenarioSpec:
                     f"but capacity is {self.capacity_slots} — it could never run"
                 )
 
+    def describe(self) -> str:
+        """The ``repro scenario describe`` text: arrivals, policy, mix."""
+        a = self.arrivals
+        lines = [f"{self.name}  [{self.title}]"]
+        if self.summary:
+            lines.append(f"  {self.summary}\n")
+        lines.append(
+            f"  arrivals   : {a.kind}, offered load {a.offered_load:.0%}"
+            + (
+                f", on-fraction {a.on_fraction:.0%}, period {a.period_frac:.0%} "
+                "of horizon"
+                if a.kind == "bursty"
+                else f", depth {a.depth:.0%}, period {a.period_frac:.0%} of horizon"
+                if a.kind == "diurnal"
+                else ""
+            )
+        )
+        lines.append(
+            f"  policy     : {self.capacity_slots} SM slots, FIFO queue limit "
+            f"{self.queue_limit}, horizon {self.horizon_services:.0f} mean "
+            f"services, {self.num_epochs} epochs, seed {self.seed}"
+        )
+        if self.degradation:
+            params = ", ".join(f"{k}={v}" for k, v in self.degradation.params)
+            lines.append(
+                f"  degradation: {self.degradation.kind} ({params or 'defaults'})"
+            )
+        lines.append("  tenants:")
+        lines.extend(
+            f"    {t.name:10s} {t.workload} on {t.platform}/{t.mode}, "
+            f"weight {t.weight:g}, {t.slots} slot(s), "
+            f"SLO {t.slo_multiplier:g}x solo service"
+            for t in self.tenants
+        )
+        return "\n".join(lines)
+
 
 SCENARIOS: Dict[str, ScenarioSpec] = {}
 

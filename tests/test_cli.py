@@ -1,5 +1,6 @@
 """CLI tests (argument parsing and command execution)."""
 
+import argparse
 import csv
 import io
 import json
@@ -329,3 +330,91 @@ class TestExport:
     def test_export_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["export", "fig99"])
+
+
+#: One argv per command that takes the shared sizing group (without the
+#: sizing flags); each would simulate, or contact a daemon, if parsing let
+#: it through.
+SIZED_COMMANDS = {
+    "run": ["run", "--platform", "Ohm-BW", "--workload", "backp"],
+    "compare": ["compare", "--workload", "backp"],
+    "workloads record": [
+        "workloads", "record", "--platform", "Ohm-BW", "--workload", "backp",
+        "-o", "never-written.jsonl",
+    ],
+    "workloads replay": [
+        "workloads", "replay", "--trace", "never-read.jsonl",
+        "--platform", "Ohm-BW",
+    ],
+    "scenario run": ["scenario", "run", "steady_poisson"],
+    "batch run": ["batch", "run", "--experiment", "fig16"],
+    "experiment": ["experiment", "headline"],
+    "export": ["export", "fig16"],
+    "submit": ["submit", "--experiment", "fig16"],
+}
+
+
+def _command_paths(parser, prefix=()):
+    """``(path, parser)`` for every leaf command of the argparse tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _command_paths(child, prefix + (name,))
+
+
+class TestSizing:
+    def test_sized_commands_cover_the_sizing_group(self):
+        sized = {
+            path for path, p in _command_paths(build_parser())
+            if "--quick" in p._option_string_actions
+        }
+        assert sized == set(SIZED_COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(SIZED_COMMANDS))
+    @pytest.mark.parametrize(
+        "flag,value", [("--warps", "0"), ("--accesses", "0"), ("--accesses", "-5")]
+    )
+    def test_sizing_must_be_positive(self, command, flag, value, monkeypatch, capsys):
+        from repro.harness import executor, service
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran past argument parsing")
+
+        monkeypatch.setattr(executor, "execute_job", forbidden)
+        monkeypatch.setattr(service.ServiceClient, "__init__", forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main(SIZED_COMMANDS[command] + [flag, value])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_defaults_resolve_to_presets(self):
+        from repro.cli import _run_config
+        from repro.harness import audit, perf
+        from repro.harness.executor import SIZING_PRESETS
+
+        def sizing(cfg):
+            return (cfg.num_warps, cfg.accesses_per_warp)
+
+        parse = build_parser().parse_args
+        for argv in SIZED_COMMANDS.values():
+            args = parse(argv)
+            assert sizing(_run_config(args)) == sizing(SIZING_PRESETS["cli"])
+            args = parse(argv + ["--quick"])
+            assert sizing(_run_config(args)) == sizing(SIZING_PRESETS["quick"])
+        assert {c.run_cfg for c in perf.PERF_CASES} == {SIZING_PRESETS["bench"]}
+        assert {c.run_cfg for c in perf.SMOKE_CASES} == {SIZING_PRESETS["quick"]}
+        assert audit.DEFAULT_SIZING == SIZING_PRESETS["quick"]
+
+    def test_bench_fixture_uses_bench_preset(self):
+        import importlib.util
+        import pathlib
+
+        from repro.harness.executor import SIZING_PRESETS
+
+        path = pathlib.Path(__file__).parent.parent / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("bench_conftest", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.BENCH_RUN_CONFIG == SIZING_PRESETS["bench"]

@@ -1,22 +1,23 @@
 """Harness tests: runner memoization, report formatting, experiment
-functions on a tiny matrix."""
+specs on a tiny matrix."""
 
 import pytest
 
 from repro import MemoryMode, RunConfig, Runner
 from repro.harness.experiments import (
-    figure3,
-    figure8,
-    figure15,
-    figure16,
-    figure17,
-    figure18,
-    figure19,
-    figure20b,
-    figure21,
-    headline,
-    table3,
+    make_fig3_spec,
+    make_fig8_spec,
+    make_fig15_spec,
+    make_fig16_spec,
+    make_fig17_spec,
+    make_fig18_spec,
+    make_fig19_spec,
+    make_fig20b_spec,
+    make_fig21_spec,
+    make_headline_spec,
+    make_table3_spec,
 )
+from repro.harness.registry import run_spec
 from repro.harness.report import format_table
 from repro.sim.records import MemRequest, RequestKind
 
@@ -104,59 +105,59 @@ class TestRecords:
 
 
 class TestExperimentFunctions:
-    """Each figure function returns well-formed data on a tiny matrix."""
+    """Each figure spec reduces to well-formed data on a tiny matrix."""
 
-    def test_figure3_rows(self):
-        rows = figure3(APPS)
+    def test_figure3_rows(self, runner):
+        rows = run_spec(make_fig3_spec(APPS), runner).payload
         assert len(rows) == 2
         for r in rows:
             assert r["data_move_frac"] + r["storage_frac"] + r["gpu_frac"] == pytest.approx(1.0)
 
     def test_figure8_keys(self, runner):
-        data = figure8(runner, APPS)
+        data = run_spec(make_fig8_spec(APPS), runner).payload
         assert set(data) == {"planar", "two_level"}
         assert ("backp", "migration_bw_frac") in data["planar"].values
 
     def test_figure16_normalized_to_base(self, runner):
-        data = figure16(runner, APPS)
+        data = run_spec(make_fig16_spec(APPS), runner).payload
         for mode in data.values():
             for w in APPS:
                 assert mode.values[(w, "Ohm-base")] == pytest.approx(1.0)
 
     def test_figure17_oracle_below_base(self, runner):
-        data = figure17(runner, APPS)
+        data = run_spec(make_fig17_spec(APPS), runner).payload
         for mode in data.values():
             assert mode.mean_over_workloads("Oracle") <= 1.0
 
     def test_figure18_fractions_bounded(self, runner):
-        data = figure18(runner, APPS)
+        data = run_spec(make_fig18_spec(APPS), runner).payload
         for mode in data.values():
             assert all(0.0 <= v <= 1.0 for v in mode.values.values())
 
     def test_figure19_breakdowns_positive(self, runner):
-        data = figure19(runner, APPS)
+        data = run_spec(make_fig19_spec(APPS), runner).payload
         for mode_rows in data.values():
             for b in mode_rows.values():
                 assert b.total_j > 0
 
-    def test_figure20b_has_seven_links(self):
-        assert len(figure20b()) == 7
+    def test_figure20b_has_seven_links(self, runner):
+        assert len(run_spec(make_fig20b_spec(), runner).payload) == 7
 
-    def test_figure15_has_four_layouts(self):
-        labels = {r["layout"] for r in figure15()}
+    def test_figure15_has_four_layouts(self, runner):
+        labels = {r["layout"] for r in run_spec(make_fig15_spec(), runner).payload}
         assert labels == {"general", "ohm-base", "planar", "two-level"}
 
-    def test_table3_rows(self):
-        rows = table3()
+    def test_table3_rows(self, runner):
+        rows = run_spec(make_table3_spec(), runner).payload
         assert len(rows) == 4  # 2 modes x {Ohm-base, Ohm-BW}
 
     def test_figure21_positive(self, runner):
-        data = figure21(runner, APPS)
+        data = run_spec(make_fig21_spec(APPS), runner).payload
         for mode in data.values():
             assert all(v > 0 for v in mode.values.values())
 
     def test_headline_keys(self, runner):
-        h = headline(runner, APPS)
+        h = run_spec(make_headline_spec(APPS), runner).payload
         assert h["speedup_vs_origin"] > 0
         assert h["speedup_vs_ohm_base"] > 0
 

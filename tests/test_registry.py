@@ -119,13 +119,6 @@ class TestRegistry:
         for row in result.rows:
             assert set(row) == set(result.spec.columns)
 
-    def test_spec_payload_matches_wrapper(self):
-        runner = Runner(TINY)
-        via_spec = run_spec(E.make_fig16_spec(APPS), runner).payload
-        via_wrapper = E.figure16(runner, APPS)
-        for mode in ("planar", "two_level"):
-            assert via_spec[mode].values == via_wrapper[mode].values
-
     def test_fig20a_spec_uses_waveguide_jobs(self):
         spec = E.make_fig20a_spec(("backp",), (1, 4))
         jobs = spec.jobs(TINY)
@@ -136,7 +129,7 @@ class TestRegistry:
         assert all(j.run_cfg.accesses_per_warp == TINY.accesses_per_warp for j in jobs)
 
     def test_fig20a_rows(self):
-        rows = E.figure20a(("backp",), (1, 2), run_cfg=TINY)
+        rows = run_spec(E.make_fig20a_spec(("backp",), (1, 2)), Runner(TINY)).payload
         assert len(rows) == 4  # 2 counts x {Ohm-base, Ohm-BW}
         assert {r["platform"] for r in rows} == {"Ohm-base", "Ohm-BW"}
 

@@ -349,7 +349,18 @@ def test_cat_stdin_trace_reproduces_recorded_fingerprint(tmp_path):
     assert outs[0] == outs[1]
 
 
+#: sha256 of ``trace scale --repeat 3 --gaps 2`` over ``_record``'s trace,
+#: pinned from the stage's first (hand-rolled) implementation: the
+#: chunked output, including where each warp's end marker lands, must
+#: not move when the stage's loop is refactored.
+SCALE_REPEAT_GAPS_SHA256 = (
+    "eb99706d566f1dbef3695d2d77e95c6c59c680ba5de055c11a118c4851bb51d3"
+)
+
+
 def test_scale_repeat_multiplies_ops(tmp_path):
+    import hashlib
+
     path = _record(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "trace", "scale",
@@ -361,6 +372,21 @@ def test_scale_repeat_multiplies_ops(tmp_path):
     out.write_text(proc.stdout)
     _, traces = load_traces(out)
     assert sum(len(t) for t in traces) == 3 * WARPS * ACCESSES
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "trace", "scale",
+         "--repeat", "3", "--gaps", "2", str(path)],
+        capture_output=True, env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == SCALE_REPEAT_GAPS_SHA256
+    out.write_bytes(proc.stdout)
+    _, traces = load_traces(out)
+    _, base = load_traces(path)
+    # Every pass is the original stream with gaps doubled, end to end.
+    for got, orig in zip(traces, base):
+        assert got.addrs.tolist() == orig.addrs.tolist() * 3
+        assert got.gaps.tolist() == [max(0, int(g * 2)) for g in orig.gaps] * 3
 
 
 def test_filter_drops_warps_but_keeps_count(tmp_path):

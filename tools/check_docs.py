@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Docs-consistency check (CI, non-gating).
+"""Docs-consistency check (CI, gating).
 
 Three invariants keep the documentation surface honest:
 
