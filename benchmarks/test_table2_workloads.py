@@ -6,14 +6,13 @@ from conftest import bench_once, report
 
 from repro.config import MB
 from repro.harness.report import format_table
-from repro.workloads.registry import WORKLOADS, generate_traces, get_workload
+from repro.workloads.registry import WORKLOADS, build_traces
 
 
 def _measure():
     rows = []
-    for name in WORKLOADS:
-        spec = get_workload(name)
-        traces = generate_traces(spec, 8 * MB, num_warps=16, accesses_per_warp=128)
+    for name, spec in WORKLOADS.items():
+        traces = build_traces(name, 8 * MB, num_warps=16, accesses_per_warp=128)
         insts = sum(t.total_instructions for t in traces)
         accesses = sum(len(t) for t in traces)
         writes = sum(int(t.writes.sum()) for t in traces)

@@ -16,7 +16,7 @@ import os
 
 from repro import MemoryMode, RunConfig, Runner, default_config
 from repro.hoststorage.gpudirect import GpuSsdSystem
-from repro.workloads.registry import WORKLOADS, get_workload
+from repro.workloads.registry import WORKLOADS
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 SIZING = RunConfig(num_warps=16, accesses_per_warp=12) if SMOKE else RunConfig(
@@ -28,8 +28,8 @@ def fig3_motivation() -> None:
     print("== GPU+SSD system: where does time go? (Fig. 3a) ==")
     system = GpuSsdSystem(default_config())
     print(f"  {'workload':9s} {'data move':>10s} {'storage':>8s} {'GPU':>6s}")
-    for name in WORKLOADS:
-        b = system.phase_breakdown(get_workload(name))
+    for name, spec in WORKLOADS.items():
+        b = system.phase_breakdown(spec)
         print(
             f"  {name:9s} {b.data_move_frac:>9.0%} "
             f"{b.storage_frac:>8.0%} {b.gpu_frac:>6.0%}"

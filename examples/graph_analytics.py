@@ -12,7 +12,7 @@ Run:  python examples/graph_analytics.py
 import os
 
 from repro import MemoryMode, RunConfig, Runner
-from repro.workloads.registry import WORKLOADS, get_workload
+from repro.workloads.registry import WORKLOADS
 
 GRAPH_APPS = [name for name, spec in WORKLOADS.items() if spec.is_graph]
 
@@ -29,7 +29,7 @@ def main() -> None:
     print(f"{'workload':9s} {'APKI':>5s} {'planar_lat':>11s} {'2lvl_lat':>9s} "
           f"{'planar_migbw':>13s} {'2lvl_migbw':>11s} {'faster_mode':>12s}")
     for name in GRAPH_APPS:
-        spec = get_workload(name)
+        spec = WORKLOADS[name]
         planar = runner.run("Ohm-BW", name, MemoryMode.PLANAR)
         two = runner.run("Ohm-BW", name, MemoryMode.TWO_LEVEL)
         faster = "planar" if planar.exec_time_ps < two.exec_time_ps else "two-level"

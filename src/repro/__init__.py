@@ -40,8 +40,6 @@ from repro.workloads.registry import (
     REGISTRY,
     WORKLOADS,
     build_traces,
-    generate_traces,
-    get_workload,
     get_workload_def,
     register_workload,
     workload_names,
@@ -79,11 +77,9 @@ __all__ = [
     "WorkloadSpec",
     "WorkloadDef",
     "make_def",
-    "get_workload",
     "get_workload_def",
     "register_workload",
     "workload_names",
-    "generate_traces",
     "build_traces",
     "KB",
     "MB",

@@ -83,7 +83,12 @@ from repro.harness.registry import (
 )
 from repro.harness.report import EMITTERS, format_table
 from repro.sim.audit import InvariantError
-from repro.workloads.registry import FAMILIES, REGISTRY, get_workload_def
+from repro.workloads.registry import (
+    FAMILIES,
+    REGISTRY,
+    WorkloadSizingError,
+    get_workload_def,
+)
 from repro.workloads.trace import TraceFormatError
 
 
@@ -585,7 +590,6 @@ def cmd_workloads_list(_args: argparse.Namespace) -> int:
 def cmd_workloads_describe(args: argparse.Namespace) -> int:
     """`repro workloads describe`: spec, params and family docs."""
     defn = _resolve_workload(args.name)
-    family = FAMILIES[defn.family]
     print(f"{defn.name}  [family: {defn.family}]")
     if defn.summary:
         print(f"  {defn.summary}\n")
@@ -599,7 +603,7 @@ def cmd_workloads_describe(args: argparse.Namespace) -> int:
         for key, value in defn.params:
             print(f"    {key} = {value}")
     print("\n  family documentation:")
-    for line in family.doc.splitlines():
+    for line in FAMILIES[defn.family].splitlines():
         print(f"    {line}")
     return 0
 
@@ -1719,6 +1723,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A --validate run tripped a cross-layer conservation law;
         # surface every recorded violation, not a traceback.
         raise SystemExit(f"repro: invariant audit failed: {exc}")
+    except WorkloadSizingError as exc:
+        # Raised while building traces, possibly in a pool worker, so
+        # no per-command handler sees it.
+        raise SystemExit(f"repro: {exc}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from repro.optical.layout import (
     layout_for_mode,
     mode_reduction,
 )
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import get_workload_def
 
 FIG16_PLATFORMS = ("Origin", "Hetero", "Ohm-base", "Auto-rw", "Ohm-WOM", "Ohm-BW", "Oracle")
 LATENCY_PLATFORMS = ("Ohm-base", "Auto-rw", "Ohm-WOM", "Ohm-BW", "Oracle")
@@ -155,7 +155,7 @@ def _fig3_reduce(workloads: Tuple[str, ...]):
         system = GpuSsdSystem(cfg)
         rows = []
         for name in workloads:
-            spec = get_workload(name)
+            spec = get_workload_def(name).spec
             phase = system.phase_breakdown(spec)
             mem = system.memory_breakdown(spec)
             rows.append(

@@ -29,7 +29,7 @@ from repro.core.platforms import PLATFORMS
 from repro.gpu.gpu import GpuModel
 from repro.harness.executor import SIZING_PRESETS, RunConfig, SimulationJob, traces_for
 from repro.harness.report import format_table
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import get_workload_def
 
 #: Figure-sized jobs (the shape the experiment matrix runs at) plus
 #: quick smoke variants for CI.  "headline" is the acceptance case.
@@ -175,7 +175,7 @@ def _trace_peak_bytes(case: PerfCase, cfg) -> Optional[int]:
     """
     import tracemalloc
 
-    from repro.workloads.registry import build_source, get_workload_def
+    from repro.workloads.registry import build_source
 
     defn = get_workload_def(case.workload)
     if defn.family == "trace":
@@ -208,7 +208,7 @@ def measure_case(case: PerfCase, repeats: int = 3) -> PerfMeasurement:
         raise ValueError("need at least one repeat")
     job = SimulationJob(case.platform, case.workload, case.mode, case.run_cfg)
     cfg = job.resolved_config()
-    spec = get_workload(case.workload)
+    spec = get_workload_def(case.workload).spec
     traces = traces_for(job, cfg)  # generated outside the timed region
     platform = PLATFORMS[case.platform]
     best_dt = None

@@ -15,10 +15,10 @@ Layers (see docs/WORKLOADS.md for the authoring tutorial):
 * ``compose``   — sequential phases and multi-tenant mixes.
 * ``trace``     — record-and-replay memory-trace format (streaming
                   reader/writer, chunked v2 format).
-* ``registry``  — name -> def resolution and family dispatch
-                  (:func:`build_traces` materializes,
-                  :func:`build_source` streams; the execution backend
-                  uses both through one resolution path).
+* ``registry``  — name -> def resolution and family dispatch:
+                  :func:`build_source` is the one path from a name to
+                  a trace source, and :func:`build_traces` is
+                  ``materialize(build_source(...))``.
 """
 
 from repro.workloads.compose import make_multi_tenant, make_phased
@@ -34,7 +34,6 @@ from repro.workloads.registry import (
     WORKLOADS,
     build_source,
     build_traces,
-    get_workload,
     get_workload_def,
     register_workload,
     workload_names,
@@ -66,7 +65,6 @@ __all__ = [
     "WORKLOADS",
     "REGISTRY",
     "FAMILIES",
-    "get_workload",
     "get_workload_def",
     "register_workload",
     "workload_names",

@@ -17,10 +17,12 @@ scenarios without any new trace-generation code:
   so a mix answers "who got hurt?" and not just "was it slower?".
 
 Both produce ordinary :class:`~repro.workloads.spec.WorkloadDef`
-entries whose params store member *names*; the registry resolves the
-members at build time, which keeps composed defs hashable and
-fingerprintable by the result cache.  Composed members may themselves
-be composed (the registry guards against cycles).
+entries whose params store member *names*, which keeps composed defs
+hashable and fingerprintable by the result cache.  The registry's
+``build_source`` resolves the members when a run is built and merges
+their streams lazily (:class:`PhasedTraceSource`,
+:class:`MultiTenantTraceSource`).  Composed members may themselves be
+composed (the registry guards against cycles).
 
 Note on parallel execution: a ``SimulationJob`` ships only the
 workload *name*.  Forked executor workers inherit the registry as it
@@ -34,16 +36,10 @@ runners (``--jobs 1``) have no such restriction.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.workloads.source import Block, TraceSource
 from repro.workloads.spec import WorkloadDef, WorkloadSpec, make_def
-from repro.workloads.synthetic import WarpTrace
-
-#: build(name, footprint, num_warps, accesses, line, page, seed) -> traces
-TraceBuilder = Callable[..., List[WarpTrace]]
 
 
 def _blend_spec(
@@ -183,101 +179,16 @@ def tenant_assignment(
     return out
 
 
-def phased_traces(
-    members: Sequence[Tuple[str, float]],
-    build: TraceBuilder,
-    footprint_bytes: int,
-    num_warps: int,
-    accesses_per_warp: int,
-    line_bytes: int,
-    page_bytes: int,
-    seed: int,
-) -> List[WarpTrace]:
-    """Concatenate per-phase sub-traces for every warp."""
-    counts = _split_accesses([f for _, f in members], accesses_per_warp)
-    phase_traces = [
-        build(name, footprint_bytes, num_warps, count, line_bytes, page_bytes, seed)
-        if count
-        else None
-        for (name, _), count in zip(members, counts)
-    ]
-    out = []
-    for w in range(num_warps):
-        parts = [pt[w] for pt in phase_traces if pt is not None]
-        out.append(
-            WarpTrace(
-                gaps=np.concatenate([p.gaps for p in parts]),
-                addrs=np.concatenate([p.addrs for p in parts]),
-                writes=np.concatenate([p.writes for p in parts]),
-            )
-        )
-    return out
-
-
-def multi_tenant_traces(
-    tenants: Sequence[Tuple[str, str, float]],
-    build: TraceBuilder,
-    footprint_bytes: int,
-    num_warps: int,
-    accesses_per_warp: int,
-    line_bytes: int,
-    page_bytes: int,
-    seed: int,
-) -> List[WarpTrace]:
-    """Interleave tenant warps; each trace carries its tenant label.
-
-    A tenant's warps replay exactly the streams it would generate
-    running alone with that many warps (local warp ids), so per-tenant
-    behaviour is comparable against solo runs.
-    """
-    if num_warps < len(tenants):
-        raise ValueError(
-            f"need at least {len(tenants)} warps for {len(tenants)} tenants"
-        )
-    assignment = tenant_assignment([s for _, _, s in tenants], num_warps)
-    warps_per_tenant = [assignment.count(i) for i in range(len(tenants))]
-    for (label, _, share), count in zip(tenants, warps_per_tenant):
-        if count == 0:
-            # A silently absent tenant would just vanish from the
-            # per-tenant counters; fail loudly instead.
-            raise ValueError(
-                f"tenant {label!r} (share {share}) received 0 of "
-                f"{num_warps} warps — increase num_warps or its share"
-            )
-    tenant_traces = [
-        build(member, footprint_bytes, count, accesses_per_warp,
-              line_bytes, page_bytes, seed)
-        for (_, member, _), count in zip(tenants, warps_per_tenant)
-    ]
-    cursors = [0] * len(tenants)
-    out = []
-    for w in range(num_warps):
-        t = assignment[w]
-        label = tenants[t][0]
-        local = tenant_traces[t][cursors[t]]
-        cursors[t] += 1
-        out.append(
-            WarpTrace(
-                gaps=local.gaps,
-                addrs=local.addrs,
-                writes=local.writes,
-                tenant=label,
-            )
-        )
-    return out
-
-
 # --------------------------------------------------------------------
-# Lazy stream composition (the TraceSource mirrors of the builders)
+# Lazy stream composition
 # --------------------------------------------------------------------
 
 class PhasedTraceSource(TraceSource):
     """Sequential phases, merged lazily: chain each warp's member blocks.
 
-    Per-warp RNG independence makes per-warp chaining value-identical
-    to :func:`phased_traces`' concatenation — the member sources were
-    built with the same per-phase access counts, so block boundaries
-    are the only difference, and consumers don't observe those.
+    Each member source is built with its phase's per-warp access count
+    (:func:`_split_accesses`), so warp ``w``'s stream is member 0's
+    warp ``w``, then member 1's, and so on.
     """
 
     def __init__(self, members: Sequence[TraceSource]) -> None:
@@ -346,10 +257,10 @@ class MultiTenantTraceSource(TraceSource):
     """WRR tenant interleave, merged lazily.
 
     Warp ``w`` streams tenant ``assignment[w]``'s member source at that
-    tenant's local warp index (the same local-id mapping
-    :func:`multi_tenant_traces` uses), labelled with the tenant — so a
-    streamed mix attributes per-tenant counters identically to the
-    materialized interleave.
+    tenant's local warp index, labelled with the tenant.  A tenant's
+    warps therefore replay exactly the streams it would generate
+    running alone with that many warps, so per-tenant behaviour is
+    comparable against solo runs.
     """
 
     def __init__(

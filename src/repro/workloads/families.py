@@ -1,9 +1,9 @@
 """Parametric workload families beyond Table II.
 
 Three trace generators that each model a canonical GPU access regime
-the Table II suites only brush against.  All three compile to the same
-:class:`~repro.workloads.synthetic.WarpTrace` hot format as the
-synthetic and graph generators, are deterministic per
+the Table II suites only brush against.  All three stream the same
+``(gaps, addrs, writes)`` blocks (``warp_blocks``) as the synthetic and
+graph generators, are deterministic per
 ``(params, warp, seed)``, and are fingerprint-stable (golden digests in
 ``tests/data/workload_fingerprints.json``).
 
@@ -25,12 +25,12 @@ workers resolve the same names.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
 import numpy as np
 
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.synthetic import WarpTrace, zipf_pmf
+from repro.workloads.synthetic import zipf_pmf
 
 
 def _apki_gaps(rng: np.random.Generator, apki: float, n: int) -> np.ndarray:
@@ -105,9 +105,8 @@ class TiledGemmGenerator:
     ) -> Iterator[tuple]:
         """One warp's stream as ``(gaps, addrs, writes)`` native blocks.
 
-        Generation path (``warp_trace`` concatenates it); the gap
-        vector is drawn whole up front to keep the frozen digests' RNG
-        consumption order, the tile walk streams in blocks.
+        The gap vector is drawn whole up front to keep the frozen
+        digests' RNG consumption order, the tile walk streams in blocks.
         """
         if num_accesses < 1:
             raise ValueError("need at least one access")
@@ -153,16 +152,6 @@ class TiledGemmGenerator:
                 emitted = end
         if a_buf:
             yield (gaps[emitted:].tolist(), a_buf, w_buf)
-
-    def warp_trace(self, warp_global_id: int, num_accesses: int) -> WarpTrace:
-        """Deterministic trace for one warp (materialized adapter)."""
-        from repro.workloads.source import trace_from_blocks
-
-        return trace_from_blocks(self.warp_blocks(warp_global_id, num_accesses))
-
-    def traces(self, num_warps: int, accesses_per_warp: int) -> List[WarpTrace]:
-        """Traces for ``num_warps`` warps, ``accesses_per_warp`` each."""
-        return [self.warp_trace(w, accesses_per_warp) for w in range(num_warps)]
 
 
 class PointerChaseGenerator:
@@ -240,9 +229,8 @@ class PointerChaseGenerator:
     ) -> Iterator[tuple]:
         """One warp's stream as ``(gaps, addrs, writes)`` native blocks.
 
-        Generation path (``warp_trace`` concatenates it); the gap
-        vector is drawn whole up front to keep the frozen digests' RNG
-        consumption order, the chase loop streams in blocks.
+        The gap vector is drawn whole up front to keep the frozen
+        digests' RNG consumption order, the chase loop streams in blocks.
         """
         if num_accesses < 1:
             raise ValueError("need at least one access")
@@ -280,16 +268,6 @@ class PointerChaseGenerator:
                 emitted = end
         if a_buf:
             yield (gaps[emitted:].tolist(), a_buf, w_buf)
-
-    def warp_trace(self, warp_global_id: int, num_accesses: int) -> WarpTrace:
-        """Deterministic trace for one warp (materialized adapter)."""
-        from repro.workloads.source import trace_from_blocks
-
-        return trace_from_blocks(self.warp_blocks(warp_global_id, num_accesses))
-
-    def traces(self, num_warps: int, accesses_per_warp: int) -> List[WarpTrace]:
-        """Traces for ``num_warps`` warps, ``accesses_per_warp`` each."""
-        return [self.warp_trace(w, accesses_per_warp) for w in range(num_warps)]
 
 
 class StreamingScanGenerator:
@@ -343,10 +321,9 @@ class StreamingScanGenerator:
     ) -> Iterator[tuple]:
         """One warp's stream as ``(gaps, addrs, writes)`` native blocks.
 
-        Generation path (``warp_trace`` concatenates it); the gap and
-        write vectors are drawn whole up front to keep the frozen
-        digests' RNG consumption order, the cursor sweep streams in
-        blocks.
+        The gap and write vectors are drawn whole up front to keep the
+        frozen digests' RNG consumption order, the cursor sweep streams
+        in blocks.
         """
         if num_accesses < 1:
             raise ValueError("need at least one access")
@@ -377,13 +354,3 @@ class StreamingScanGenerator:
                 emitted = end
         if a_buf:
             yield (gaps[emitted:].tolist(), a_buf, writes[emitted:].tolist())
-
-    def warp_trace(self, warp_global_id: int, num_accesses: int) -> WarpTrace:
-        """Deterministic trace for one warp (materialized adapter)."""
-        from repro.workloads.source import trace_from_blocks
-
-        return trace_from_blocks(self.warp_blocks(warp_global_id, num_accesses))
-
-    def traces(self, num_warps: int, accesses_per_warp: int) -> List[WarpTrace]:
-        """Traces for ``num_warps`` warps, ``accesses_per_warp`` each."""
-        return [self.warp_trace(w, accesses_per_warp) for w in range(num_warps)]

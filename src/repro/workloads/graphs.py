@@ -20,7 +20,6 @@ from typing import Iterator, List, Set
 import numpy as np
 
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.synthetic import WarpTrace
 
 
 @dataclass(frozen=True)
@@ -158,12 +157,18 @@ class GraphTraceGenerator:
     def warp_blocks(
         self, warp_global_id: int, num_accesses: int, block_ops: int = 2048
     ) -> Iterator[tuple]:
-        """One warp's stream as ``(gaps, addrs, writes)`` native blocks.
+        """One warp sweeps its share of the vertex range in order.
 
-        Generation path (``warp_trace`` concatenates it).  The gap
-        vector is drawn whole up front to keep the frozen digests' RNG
-        consumption order; the vertex sweep streams in blocks, with the
-        page scatter applied per block (it is elementwise, so chunked
+        This is the vertex-centric kernel pattern: the sweep itself
+        drifts sequentially through vertex properties and adjacency
+        lists (so the hot working set moves over time, sustaining
+        migrations), while neighbour-property gathers concentrate on
+        high-degree hubs (stationary skew, bounded by edge counts).
+
+        The stream comes as ``(gaps, addrs, writes)`` native blocks.  The
+        gap vector is drawn whole up front to keep the frozen digests'
+        RNG consumption order; the vertex sweep streams in blocks, with
+        the page scatter applied per block (it is elementwise, so chunked
         application is value-identical to scattering the whole array).
         """
         rng = np.random.default_rng((self.seed, warp_global_id))
@@ -235,20 +240,3 @@ class GraphTraceGenerator:
         if a_buf:
             scattered = self._scatter(np.asarray(a_buf, dtype=np.int64))
             yield (gaps[emitted:].tolist(), scattered.tolist(), w_buf)
-
-    def warp_trace(self, warp_global_id: int, num_accesses: int) -> WarpTrace:
-        """One warp sweeps its share of the vertex range in order.
-
-        This is the vertex-centric kernel pattern: the sweep itself
-        drifts sequentially through vertex properties and adjacency
-        lists (so the hot working set moves over time, sustaining
-        migrations), while neighbour-property gathers concentrate on
-        high-degree hubs (stationary skew, bounded by edge counts).
-        Materialized adapter over :meth:`warp_blocks`.
-        """
-        from repro.workloads.source import trace_from_blocks
-
-        return trace_from_blocks(self.warp_blocks(warp_global_id, num_accesses))
-
-    def traces(self, num_warps: int, accesses_per_warp: int) -> List[WarpTrace]:
-        return [self.warp_trace(w, accesses_per_warp) for w in range(num_warps)]

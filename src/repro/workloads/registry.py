@@ -1,31 +1,32 @@
-"""Workload registry: declarative names -> trace families -> WarpTraces.
+"""Workload registry: declarative names -> trace families -> trace sources.
 
 The registry is the single resolution point of the workload subsystem:
 
 * ``REGISTRY`` maps every registered **name** to its
   :class:`~repro.workloads.spec.WorkloadDef` (Table II rows, the
   parametric families, composed scenarios, user registrations).
-* ``FAMILIES`` maps every **family** string to its trace builder; a
-  def's family selects how its traces are generated.
-* :func:`build_traces` resolves a name and dispatches to the family —
-  this is what the execution backend calls, so every workload (old or
-  new, registered or ``trace:<path>`` replay) flows through one path.
+* ``FAMILIES`` maps every **family** string to its documentation; a
+  def's family selects how :func:`build_source` generates its stream,
+  and registration rejects a family not listed here.
+* :func:`build_source` resolves a name and dispatches on the family to
+  a lazy :class:`~repro.workloads.source.TraceSource` — the one path
+  from a workload name to traces.  :func:`build_traces` is
+  ``materialize(build_source(...))``; the execution backend uses both,
+  so every workload (registered or ``trace:<path>`` replay) flows
+  through the same dispatch.
 
 Names of the form ``trace:<path>`` are resolved on demand from the
 trace file itself (no registration needed), which keeps them usable
 from parallel executor workers that never saw the parent process's
 registrations.
 
-Back-compat surface: ``WORKLOADS`` remains the Table II name -> spec
-dict (the experiment matrices iterate it), :func:`get_workload` still
-returns a :class:`WorkloadSpec`, and :func:`generate_traces` keeps its
-original signature for callers that hold a spec.
+``WORKLOADS`` is the Table II name -> spec dict the experiment matrices
+iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 from repro.workloads import compose as _compose
 from repro.workloads.families import (
@@ -38,6 +39,7 @@ from repro.workloads.source import (
     GeneratedTraceSource,
     MaterializedTraceSource,
     TraceSource,
+    materialize,
 )
 from repro.workloads.spec import TABLE2, WorkloadDef, WorkloadSpec, make_def
 from repro.workloads.synthetic import SyntheticTraceGenerator, WarpTrace
@@ -52,124 +54,28 @@ from repro.workloads.trace import (
 
 TraceGenerator = Union[SyntheticTraceGenerator, GraphTraceGenerator]
 
-#: Table II name -> spec (back-compat; the figure matrices iterate this).
+#: Table II name -> spec (the figure matrices iterate this).
 WORKLOADS: Dict[str, WorkloadSpec] = {spec.name: spec for spec in TABLE2}
 
-
-# --------------------------------------------------------------------
-# Family table
-# --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Family:
-    """One trace family: a name, its docs, and a trace builder."""
-
-    name: str
-    doc: str
-    build: Callable[..., List[WarpTrace]]
-
-
-def _build_table2(
-    defn: WorkloadDef, footprint_bytes, num_warps, accesses_per_warp,
-    line_bytes, page_bytes, seed,
-) -> List[WarpTrace]:
-    gen = make_generator(defn.spec, footprint_bytes, line_bytes, page_bytes, seed)
-    return gen.traces(num_warps, accesses_per_warp)
-
-
-def _generator_family(cls) -> Callable[..., List[WarpTrace]]:
-    def build(
-        defn: WorkloadDef, footprint_bytes, num_warps, accesses_per_warp,
-        line_bytes, page_bytes, seed,
-    ) -> List[WarpTrace]:
-        gen = cls(
-            defn.spec, footprint_bytes, line_bytes, page_bytes, seed,
-            **defn.param_dict,
-        )
-        return gen.traces(num_warps, accesses_per_warp)
-
-    return build
-
-
-_MAX_COMPOSE_DEPTH = 4
-
-
-def _build_compose(
-    defn: WorkloadDef, footprint_bytes, num_warps, accesses_per_warp,
-    line_bytes, page_bytes, seed, _depth: int = 0,
-) -> List[WarpTrace]:
-    if _depth >= _MAX_COMPOSE_DEPTH:
-        raise ValueError(
-            f"{defn.name}: composition nested deeper than {_MAX_COMPOSE_DEPTH} "
-            "(cycle?)"
-        )
-
-    def build_member(name, *args):
-        member = get_workload_def(name)
-        if member.family == "compose":
-            return _build_compose(member, *args, _depth=_depth + 1)
-        return FAMILIES[member.family].build(member, *args)
-
-    params = defn.param_dict
-    args = (footprint_bytes, num_warps, accesses_per_warp,
-            line_bytes, page_bytes, seed)
-    if params["kind"] == "phased":
-        return _compose.phased_traces(params["members"], build_member, *args)
-    if params["kind"] == "multi_tenant":
-        return _compose.multi_tenant_traces(params["tenants"], build_member, *args)
-    raise ValueError(f"{defn.name}: unknown composition kind {params['kind']!r}")
-
-
-def _build_trace_replay(
-    defn: WorkloadDef, footprint_bytes, num_warps, accesses_per_warp,
-    line_bytes, page_bytes, seed,
-) -> List[WarpTrace]:
-    # A replay IS the recorded stream: sizing parameters are ignored by
-    # design — the file fixes warp count and per-warp access counts.
-    path = dict(defn.params)["path"]
-    _meta, traces = load_traces(path)
-    return traces
-
-
-FAMILIES: Dict[str, Family] = {
-    "synthetic": Family(
-        "synthetic",
-        (SyntheticTraceGenerator.__doc__ or "").strip(),
-        _build_table2,
-    ),
-    "graph": Family(
-        "graph",
-        (GraphTraceGenerator.__doc__ or "").strip(),
-        _build_table2,
-    ),
-    "gemm": Family(
-        "gemm",
-        (TiledGemmGenerator.__doc__ or "").strip(),
-        _generator_family(TiledGemmGenerator),
-    ),
-    "pointer": Family(
-        "pointer",
-        (PointerChaseGenerator.__doc__ or "").strip(),
-        _generator_family(PointerChaseGenerator),
-    ),
-    "stream": Family(
-        "stream",
-        (StreamingScanGenerator.__doc__ or "").strip(),
-        _generator_family(StreamingScanGenerator),
-    ),
-    "compose": Family(
-        "compose",
-        (_compose.__doc__ or "").strip(),
-        _build_compose,
-    ),
-    "trace": Family(
-        "trace",
+#: Family name -> documentation (``repro workloads describe`` prints it).
+FAMILIES: Dict[str, str] = {
+    "synthetic": (SyntheticTraceGenerator.__doc__ or "").strip(),
+    "graph": (GraphTraceGenerator.__doc__ or "").strip(),
+    "gemm": (TiledGemmGenerator.__doc__ or "").strip(),
+    "pointer": (PointerChaseGenerator.__doc__ or "").strip(),
+    "stream": (StreamingScanGenerator.__doc__ or "").strip(),
+    "compose": (_compose.__doc__ or "").strip(),
+    "trace": (
         "Replay of a recorded memory trace (see workloads/trace.py). "
         "Sizing flags are ignored: the file fixes the warp count and "
-        "each warp's access stream.",
-        _build_trace_replay,
+        "each warp's access stream."
     ),
 }
+
+
+class WorkloadSizingError(ValueError):
+    """A workload cannot be built at the requested sizing (e.g. a
+    multi-tenant mix given fewer warps than tenants)."""
 
 
 # --------------------------------------------------------------------
@@ -234,11 +140,6 @@ def get_workload_def(name: str) -> WorkloadDef:
         ) from None
 
 
-def get_workload(name: str) -> WorkloadSpec:
-    """Resolve a workload name to its characteristics (back-compat)."""
-    return get_workload_def(name).spec
-
-
 def workload_names() -> List[str]:
     """All registered workload names, Table II first."""
     return list(REGISTRY)
@@ -253,22 +154,14 @@ def build_traces(
     page_bytes: int = 4096,
     seed: int = 7,
 ) -> List[WarpTrace]:
-    """Materialize a workload's warp traces via its family builder."""
-    defn = (
-        name_or_def
-        if isinstance(name_or_def, WorkloadDef)
-        else get_workload_def(name_or_def)
-    )
-    return FAMILIES[defn.family].build(
-        defn, footprint_bytes, num_warps, accesses_per_warp,
-        line_bytes, page_bytes, seed,
+    """Materialize a workload's warp traces: ``materialize(build_source(...))``."""
+    return materialize(
+        build_source(
+            name_or_def, footprint_bytes, num_warps, accesses_per_warp,
+            line_bytes, page_bytes, seed,
+        )
     )
 
-
-# --------------------------------------------------------------------
-# Streaming resolution: name -> TraceSource (bounded-memory mirror of
-# build_traces; every family streams except where noted)
-# --------------------------------------------------------------------
 
 #: Families whose generator class is instantiated with def params.
 _GENERATOR_CLASSES = {
@@ -276,6 +169,8 @@ _GENERATOR_CLASSES = {
     "pointer": PointerChaseGenerator,
     "stream": StreamingScanGenerator,
 }
+
+_MAX_COMPOSE_DEPTH = 4
 
 
 def build_source(
@@ -286,21 +181,21 @@ def build_source(
     line_bytes: int = 128,
     page_bytes: int = 4096,
     seed: int = 7,
-    block_ops: int = None,
+    block_ops: Optional[int] = None,
     _depth: int = 0,
 ) -> TraceSource:
     """Resolve a workload to a lazy :class:`TraceSource`.
 
-    The streaming mirror of :func:`build_traces`: same resolution, same
-    family dispatch, but the result yields ``(gaps, addrs, writes)``
-    blocks on demand instead of materialized arrays — peak memory is
+    The one path from a workload to traces: the result yields
+    ``(gaps, addrs, writes)`` blocks on demand, so peak memory is
     bounded by per-warp generator state plus one block, not trace
-    length.  Streamed and materialized paths produce value-identical
-    access streams (the golden-fingerprint parity tests pin this).
+    length.  Family parameters are validated here, when the generator
+    is constructed.
 
     ``block_ops`` bounds the lookahead per warp; ``None`` means each
     source's default (:data:`~repro.workloads.source.DEFAULT_BLOCK_OPS`
     for generated streams, whole-file record chunks for replays).
+    Block boundaries never change the stream's values.
     """
     defn = (
         name_or_def
@@ -312,36 +207,22 @@ def build_source(
         # A replay IS the recorded stream: sizing parameters are
         # ignored by design, and blocks come straight off the file.
         return FileTraceSource(dict(defn.params)["path"])
-    if family in ("synthetic", "graph"):
-        gen = make_generator(
-            defn.spec, footprint_bytes, line_bytes, page_bytes, seed
-        )
-        return GeneratedTraceSource(
-            gen, num_warps, accesses_per_warp,
-            **({} if block_ops is None else {"block_ops": block_ops}),
+    if family == "compose":
+        return _compose_source(
+            defn, footprint_bytes, num_warps, accesses_per_warp,
+            line_bytes, page_bytes, seed, block_ops, _depth,
         )
     if family in _GENERATOR_CLASSES:
         gen = _GENERATOR_CLASSES[family](
             defn.spec, footprint_bytes, line_bytes, page_bytes, seed,
             **defn.param_dict,
         )
-        return GeneratedTraceSource(
-            gen, num_warps, accesses_per_warp,
-            **({} if block_ops is None else {"block_ops": block_ops}),
+    else:  # "synthetic" / "graph": the Table II generators
+        gen = make_generator(
+            defn.spec, footprint_bytes, line_bytes, page_bytes, seed
         )
-    if family == "compose":
-        return _compose_source(
-            defn, footprint_bytes, num_warps, accesses_per_warp,
-            line_bytes, page_bytes, seed, block_ops, _depth,
-        )
-    # A family registered with a custom builder but no streaming
-    # counterpart: fall back to materializing through its builder.
-    return MaterializedTraceSource(
-        FAMILIES[family].build(
-            defn, footprint_bytes, num_warps, accesses_per_warp,
-            line_bytes, page_bytes, seed,
-        ),
-        block_ops=block_ops,
+    return GeneratedTraceSource(
+        gen, num_warps, accesses_per_warp, block_ops=block_ops
     )
 
 
@@ -385,8 +266,9 @@ def _compose_source(
     if params["kind"] == "multi_tenant":
         tenants = params["tenants"]
         if num_warps < len(tenants):
-            raise ValueError(
-                f"need at least {len(tenants)} warps for {len(tenants)} tenants"
+            raise WorkloadSizingError(
+                f"{defn.name}: need at least {len(tenants)} warps for "
+                f"{len(tenants)} tenants"
             )
         assignment = _compose.tenant_assignment(
             [s for _, _, s in tenants], num_warps
@@ -394,9 +276,11 @@ def _compose_source(
         warps_per_tenant = [assignment.count(i) for i in range(len(tenants))]
         for (label, _, share), count in zip(tenants, warps_per_tenant):
             if count == 0:
-                raise ValueError(
-                    f"tenant {label!r} (share {share}) received 0 of "
-                    f"{num_warps} warps — increase num_warps or its share"
+                # A silently absent tenant would just vanish from the
+                # per-tenant counters; fail loudly instead.
+                raise WorkloadSizingError(
+                    f"{defn.name}: tenant {label!r} (share {share}) received "
+                    f"0 of {num_warps} warps — increase num_warps or its share"
                 )
         sources = [
             member_source(member, count, accesses_per_warp)
@@ -408,21 +292,16 @@ def _compose_source(
     raise ValueError(f"{defn.name}: unknown composition kind {params['kind']!r}")
 
 
-# --------------------------------------------------------------------
-# Back-compat trace generation for callers that hold a WorkloadSpec
-# --------------------------------------------------------------------
-
 def make_generator(
     spec: WorkloadSpec,
     footprint_bytes: int,
     line_bytes: int = 128,
     page_bytes: int = 4096,
     seed: int = 7,
-    use_graph_traces: bool = True,
 ) -> TraceGenerator:
     """Trace generator for a Table II workload: graph replay for
     GraphBIG apps, statistical traces otherwise."""
-    if spec.is_graph and use_graph_traces:
+    if spec.is_graph:
         # Size the graph so the CSR + two property arrays cover roughly
         # half of the footprint (the rest models per-algorithm scratch).
         num_vertices = max(64, footprint_bytes // line_bytes // 16)
@@ -432,23 +311,6 @@ def make_generator(
     return SyntheticTraceGenerator(
         spec, footprint_bytes, line_bytes, page_bytes, seed=seed
     )
-
-
-def generate_traces(
-    spec: WorkloadSpec,
-    footprint_bytes: int,
-    num_warps: int,
-    accesses_per_warp: int,
-    line_bytes: int = 128,
-    page_bytes: int = 4096,
-    seed: int = 7,
-    use_graph_traces: bool = True,
-) -> List[WarpTrace]:
-    """Traces straight from a spec (Table II path, kept for back-compat)."""
-    gen = make_generator(
-        spec, footprint_bytes, line_bytes, page_bytes, seed, use_graph_traces
-    )
-    return gen.traces(num_warps, accesses_per_warp)
 
 
 # --------------------------------------------------------------------

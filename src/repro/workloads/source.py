@@ -27,13 +27,14 @@ consumption order, which a per-chunk regeneration would break — and
 stream only the address loop; file replay (the chunked v2 format in
 ``workloads/trace.py``) buffers nothing beyond parked blocks.
 
-:func:`materialize` is the single adapter back to ``List[WarpTrace]``
-— kept for back-compat and for the fingerprint tests that check
-streamed and materialized paths bit-identical.
+:func:`materialize` is the single adapter back to ``List[WarpTrace]``:
+the registry's ``build_traces`` is ``materialize(build_source(...))``,
+and the executor's small-trace memo holds its result.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -199,7 +200,7 @@ def chunk_columns(
 
 
 class MaterializedTraceSource(TraceSource):
-    """Streams an in-memory ``List[WarpTrace]`` (the back-compat bridge).
+    """Streams an in-memory ``List[WarpTrace]``.
 
     With the default ``block_ops=None`` each warp is one block — its
     cached :attr:`WarpTrace.columns` — so streaming a materialized
@@ -227,8 +228,8 @@ class GeneratedTraceSource(TraceSource):
     ``generator`` is any of the trace generators exposing
     ``warp_blocks(warp_id, num_accesses, block_ops)``; each warp's
     stream is generated independently (all cross-warp state lives in
-    the generator's constructor), so per-warp lazy streams are
-    value-identical to the materialized ``traces()`` order.
+    the generator's constructor), so warps may be pulled in any order.
+    ``block_ops=None`` means :data:`DEFAULT_BLOCK_OPS`.
     """
 
     def __init__(
@@ -236,14 +237,14 @@ class GeneratedTraceSource(TraceSource):
         generator,
         num_warps: int,
         accesses_per_warp: int,
-        block_ops: int = DEFAULT_BLOCK_OPS,
+        block_ops: Optional[int] = None,
     ) -> None:
         if num_warps < 1:
             raise ValueError("need at least one warp")
         self.generator = generator
         self.num_warps = num_warps
         self.accesses_per_warp = accesses_per_warp
-        self.block_ops = block_ops
+        self.block_ops = DEFAULT_BLOCK_OPS if block_ops is None else block_ops
 
     def blocks(self, warp_id: int) -> Iterator[Block]:
         return self.generator.warp_blocks(
@@ -251,10 +252,9 @@ class GeneratedTraceSource(TraceSource):
         )
 
 
-def trace_from_blocks(
-    blocks: Iterable[Block], tenant: Optional[str] = None
-) -> WarpTrace:
-    """Concatenate one warp's blocks back into a :class:`WarpTrace`."""
+def trace_from_blocks(blocks: Iterable[Block]) -> WarpTrace:
+    """Concatenate one warp's blocks back into an unlabelled
+    :class:`WarpTrace` — the one block-to-trace concatenation."""
     gaps: List[int] = []
     addrs: List[int] = []
     writes: List[bool] = []
@@ -266,7 +266,6 @@ def trace_from_blocks(
         gaps=np.asarray(gaps, dtype=np.int64),
         addrs=np.asarray(addrs, dtype=np.int64),
         writes=np.asarray(writes, dtype=bool),
-        tenant=tenant,
     )
 
 
@@ -278,22 +277,6 @@ def materialize(source: TraceSource) -> List[WarpTrace]:
     """
     traces: List[WarpTrace] = []
     for stream in source.streams():
-        gaps: List[int] = []
-        addrs: List[int] = []
-        writes: List[bool] = []
-        while True:
-            block = stream.next_block()
-            if block is None:
-                break
-            gaps.extend(block[0])
-            addrs.extend(block[1])
-            writes.extend(block[2])
-        traces.append(
-            WarpTrace(
-                gaps=np.asarray(gaps, dtype=np.int64),
-                addrs=np.asarray(addrs, dtype=np.int64),
-                writes=np.asarray(writes, dtype=bool),
-                tenant=stream.tenant,
-            )
-        )
+        trace = trace_from_blocks(iter(stream.next_block, None))
+        traces.append(replace(trace, tenant=stream.tenant))
     return traces

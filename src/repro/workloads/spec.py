@@ -14,7 +14,7 @@ Two layers live here:
   name bound to a trace **family** (``synthetic``, ``graph``, ``gemm``,
   ``pointer``, ``stream``, ``compose``, ``trace``) plus the family's
   parameters.  The registry (``workloads/registry.py``) resolves a name
-  to its def and dispatches trace generation to the family builder, so
+  to its def and ``build_source`` dispatches on the family, so
   adding a scenario is one :func:`~repro.workloads.registry.register_workload`
   call — no new simulation code.
 
@@ -103,8 +103,8 @@ class WorkloadDef:
     """A registered workload: a name bound to a family and its params.
 
     This is the declarative unit of the workload subsystem.  The
-    ``family`` string selects a trace builder from the registry's
-    family table; ``params`` parameterize it (tile sizes, read:write
+    ``family`` string selects the generator or source the registry's
+    ``build_source`` builds; ``params`` parameterize it (tile sizes, read:write
     mixes, tenant shares, a trace-file digest, ...).  The ``spec``
     carries the workload's characteristics for every consumer that does
     not generate traces (footprint scaling, the Fig. 3 host model).

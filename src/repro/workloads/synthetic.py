@@ -53,32 +53,17 @@ class WarpTrace:
         return h.hexdigest()
 
     @cached_property
-    def ops(self) -> tuple[tuple[int, int, bool], ...]:
-        """The trace compiled to plain ``(gap, addr, write)`` tuples.
-
-        ``tolist()`` converts every numpy scalar to a native int/bool up
-        front, so replaying the trace (the simulator's inner loop) never
-        touches numpy.  Computed once per trace and cached; traces are
-        shared across platforms by the executor's trace memo.
-        """
-        return tuple(
-            zip(self.gaps.tolist(), self.addrs.tolist(), self.writes.tolist())
-        )
-
-    @cached_property
     def columns(self) -> tuple[List[int], List[int], List[bool]]:
         """The trace compiled to parallel ``(gaps, addrs, writes)`` lists.
 
         The column form the fused warp stepper indexes directly
-        (``gaps[cursor]``/``addrs[cursor]``/``writes[cursor]``) — same
-        native-int compilation as :attr:`ops` but with no tuple per
-        access.  Cached separately so legacy tuple consumers don't
-        force both representations.
+        (``gaps[cursor]``/``addrs[cursor]``/``writes[cursor]``).
+        ``tolist()`` converts every numpy scalar to a native int/bool up
+        front, so the simulator's inner loop never touches numpy.
+        Computed once per trace and cached; traces are shared across
+        platforms by the executor's trace memo.
         """
         return (self.gaps.tolist(), self.addrs.tolist(), self.writes.tolist())
-
-    def __iter__(self) -> Iterator[tuple[int, int, bool]]:
-        return iter(self.ops)
 
     def well_formed(self) -> List[str]:
         """Internal-consistency problems, empty when the trace is sound.
@@ -161,7 +146,6 @@ class SyntheticTraceGenerator:
     ) -> Iterator[tuple]:
         """One warp's stream as ``(gaps, addrs, writes)`` native blocks.
 
-        This is the generation path; :meth:`warp_trace` concatenates it.
         The gap and write vectors are drawn whole up front — the frozen
         workload digests pin the RNG consumption order (all gaps, then
         all writes, then the address loop), which per-chunk regeneration
@@ -227,12 +211,3 @@ class SyntheticTraceGenerator:
                 emitted = end
         if buf:
             yield (gaps[emitted:].tolist(), buf, writes[emitted:].tolist())
-
-    def warp_trace(self, warp_global_id: int, num_accesses: int) -> WarpTrace:
-        """Deterministic trace for one warp (materialized adapter)."""
-        from repro.workloads.source import trace_from_blocks
-
-        return trace_from_blocks(self.warp_blocks(warp_global_id, num_accesses))
-
-    def traces(self, num_warps: int, accesses_per_warp: int) -> List[WarpTrace]:
-        return [self.warp_trace(w, accesses_per_warp) for w in range(num_warps)]

@@ -194,6 +194,26 @@ class TestWorkloadsCommands:
         with pytest.raises(SystemExit):
             main(["run", "--platform", "Ohm-BW", "--workload", "doom", "--quick"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--platform", "Ohm-BW"],
+            ["workloads", "record", "--platform", "Ohm-BW", "-o", "unused.jsonl"],
+            # --jobs 2: the error is raised in a pool worker.
+            ["compare", "--jobs", "2"],
+        ],
+        ids=["run", "record", "compare"],
+    )
+    def test_too_few_warps_for_tenants_is_one_line(self, command, tmp_path):
+        argv = [
+            str(tmp_path / a) if a.endswith(".jsonl") else a for a in command
+        ] + ["--workload", "mix_gemm_chase", "--warps", "1", "--accesses", "8"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == (
+            "repro: mix_gemm_chase: need at least 2 warps for 2 tenants"
+        )
+
     def test_workloads_list(self, capsys):
         assert main(["workloads", "list"]) == 0
         out = capsys.readouterr().out

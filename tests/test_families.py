@@ -24,10 +24,10 @@ from repro.workloads.registry import (
     FAMILIES,
     REGISTRY,
     build_traces,
-    get_workload,
     get_workload_def,
     register_workload,
 )
+from repro.workloads.source import trace_from_blocks
 from repro.workloads.spec import WorkloadSpec, make_def
 
 FOOTPRINT = 8 * MB
@@ -86,38 +86,38 @@ class TestFamilyGenerators:
         assert not np.array_equal(traces[0].addrs, traces[1].addrs)
 
     def test_gemm_reuses_lines(self):
-        spec = get_workload("gemm_reuse")
+        spec = get_workload_def("gemm_reuse").spec
         gen = TiledGemmGenerator(spec, FOOTPRINT, tile_lines=8, passes=3)
-        t = gen.warp_trace(0, 256)
+        t = trace_from_blocks(gen.warp_blocks(0, 256))
         # passes=3 sweeps each input tile: strong temporal reuse.
         assert len(np.unique(t.addrs)) < len(t.addrs) / 2
 
     def test_stream_scan_has_no_reuse(self):
-        spec = get_workload("stream_scan")
+        spec = get_workload_def("stream_scan").spec
         gen = StreamingScanGenerator(spec, FOOTPRINT)
-        t = gen.warp_trace(0, 200)
+        t = trace_from_blocks(gen.warp_blocks(0, 200))
         assert len(np.unique(t.addrs)) == len(t.addrs)
 
     @pytest.mark.parametrize("rf", (0.0, 0.5, 1.0))
     def test_stream_read_fraction_tracked(self, rf):
-        spec = get_workload("stream_scan")
+        spec = get_workload_def("stream_scan").spec
         gen = StreamingScanGenerator(spec, FOOTPRINT, read_fraction=rf)
         writes = np.concatenate(
-            [gen.warp_trace(w, 400).writes for w in range(4)]
+            [trace_from_blocks(gen.warp_blocks(w, 400)).writes for w in range(4)]
         )
         assert writes.mean() == pytest.approx(1.0 - rf, abs=0.06)
 
     def test_pointer_chase_is_irregular(self):
-        spec = get_workload("pointer_chase")
+        spec = get_workload_def("pointer_chase").spec
         gen = PointerChaseGenerator(spec, FOOTPRINT, frontier_fraction=0.0)
-        t = gen.warp_trace(0, 300)
+        t = trace_from_blocks(gen.warp_blocks(0, 300))
         # Dependent chasing: successive deltas are all over the arena.
         deltas = np.abs(np.diff(t.addrs))
         assert np.median(deltas) > 64 * 128  # far beyond any stride run
 
     def test_apki_tracks_spec(self):
         for name in ("gemm_reuse", "pointer_chase", "stream_scan"):
-            spec = get_workload(name)
+            spec = get_workload_def(name).spec
             traces = build_traces(name, FOOTPRINT, 8, 300, 128, 2048, 7)
             insts = sum(t.total_instructions for t in traces)
             accesses = sum(len(t) for t in traces)
@@ -139,7 +139,7 @@ class TestFamilyGenerators:
         ],
     )
     def test_invalid_params_rejected(self, cls, bad):
-        spec = get_workload("stream_scan")
+        spec = get_workload_def("stream_scan").spec
         with pytest.raises(ValueError):
             cls(spec, FOOTPRINT, **bad)
 
@@ -269,8 +269,8 @@ class TestRegistryEdgeCases:
             build_traces(defn, **GOLDEN_ARGS)
 
     def test_every_family_documented(self):
-        for family in FAMILIES.values():
-            assert family.doc.strip(), family.name
+        for family, doc in FAMILIES.items():
+            assert doc.strip(), family
 
     def test_every_registered_def_resolves_and_builds(self):
         for name in REGISTRY:

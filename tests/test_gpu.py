@@ -14,7 +14,7 @@ from repro.gpu.interconnect import Interconnect
 from repro.harness.audit import audit_jobs
 from repro.harness.executor import RunConfig, traces_for
 from repro.sim.records import MemRequest
-from repro.workloads.registry import REGISTRY, get_workload, get_workload_def
+from repro.workloads.registry import REGISTRY, get_workload_def
 from repro.workloads.synthetic import WarpTrace
 
 
@@ -112,14 +112,14 @@ class TestInterconnect:
 class TestGpuModel:
     def test_run_completes_all_warps(self):
         cfg = default_config(MemoryMode.PLANAR)
-        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces())
+        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, tiny_traces())
         result = model.run()
         assert result.demand_requests == 4 * 6
         assert result.exec_time_ps > 0
 
     def test_instruction_accounting(self):
         cfg = default_config(MemoryMode.PLANAR)
-        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces())
+        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, tiny_traces())
         result = model.run()
         # Each access: 3 compute insts + 1 memory inst.
         assert result.instructions == 4 * 6 * 4
@@ -135,7 +135,7 @@ class TestGpuModel:
             )
         ]
         model = GpuModel(
-            PLATFORMS["Oracle"], cfg, get_workload("backp"), traces, model_caches=True
+            PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, traces, model_caches=True
         )
         result = model.run()
         assert result.counters.get("gpu.l1_hits", 0) >= n - 1
@@ -143,24 +143,24 @@ class TestGpuModel:
     def test_empty_traces_rejected(self):
         cfg = default_config()
         with pytest.raises(ValueError):
-            GpuModel(PLATFORMS["Oracle"], cfg, get_workload("backp"), [])
+            GpuModel(PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, [])
 
     def test_deterministic(self):
         cfg = default_config(MemoryMode.PLANAR)
-        r1 = GpuModel(PLATFORMS["Ohm-BW"], cfg, get_workload("backp"), tiny_traces()).run()
-        r2 = GpuModel(PLATFORMS["Ohm-BW"], cfg, get_workload("backp"), tiny_traces()).run()
+        r1 = GpuModel(PLATFORMS["Ohm-BW"], cfg, get_workload_def("backp").spec, tiny_traces()).run()
+        r2 = GpuModel(PLATFORMS["Ohm-BW"], cfg, get_workload_def("backp").spec, tiny_traces()).run()
         assert r1.exec_time_ps == r2.exec_time_ps
         assert r1.counters == r2.counters
 
     def test_migration_bandwidth_fraction_bounds(self):
         cfg = default_config(MemoryMode.TWO_LEVEL)
-        model = GpuModel(PLATFORMS["Ohm-base"], cfg, get_workload("backp"), tiny_traces())
+        model = GpuModel(PLATFORMS["Ohm-base"], cfg, get_workload_def("backp").spec, tiny_traces())
         result = model.run()
         assert 0.0 <= result.migration_bandwidth_fraction <= 1.0
 
     def test_second_run_rejected(self):
         cfg = default_config(MemoryMode.PLANAR)
-        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces())
+        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, tiny_traces())
         first = model.run()
         counters = dict(first.counters)
         with pytest.raises(RuntimeError, match="only once per model"):
@@ -171,7 +171,7 @@ class TestGpuModel:
 
     def test_run_after_max_events_stop_rejected(self):
         cfg = default_config(MemoryMode.PLANAR)
-        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces())
+        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, tiny_traces())
         with pytest.raises(RuntimeError, match="4 warps unfinished"):
             model.run(max_events=3)
         with pytest.raises(RuntimeError, match="only once per model"):
@@ -209,13 +209,13 @@ class TestStreamingMultiprocessor:
         # The request-object API must agree with the bare-pair fast path
         # and record the completion on the request.
         cfg = default_config(MemoryMode.PLANAR)
-        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces())
+        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, tiny_traces())
         sm = model.sms[0]
         req = MemRequest(addr=0, is_write=False, size_bytes=128, sm_id=0, warp_id=0)
         complete = sm.submit_memory_request(req)
         assert req.complete_ps == complete
         assert complete > 0
         twin = GpuModel(
-            PLATFORMS["Oracle"], cfg, get_workload("backp"), tiny_traces()
+            PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, tiny_traces()
         )
         assert twin.sms[0].access_memory(0, False) == complete

@@ -7,7 +7,7 @@ from repro.hoststorage.gpudirect import GpuSsdSystem
 from repro.hoststorage.pcie import HostLink
 from repro.hoststorage.ssd import Ssd
 from repro.sim.engine import us
-from repro.workloads.registry import WORKLOADS, get_workload
+from repro.workloads.registry import WORKLOADS
 
 
 class TestHostLink:
@@ -48,7 +48,7 @@ class TestFig3Model:
     def test_fractions_sum_to_one(self):
         system = GpuSsdSystem(default_config())
         for name in WORKLOADS:
-            b = system.phase_breakdown(get_workload(name))
+            b = system.phase_breakdown(WORKLOADS[name])
             total = b.data_move_frac + b.storage_frac + b.gpu_frac
             assert total == pytest.approx(1.0)
 
@@ -56,7 +56,7 @@ class TestFig3Model:
         """Fig. 3a: storage ~21 %, data movement ~45 % on average, and
         movement+storage exceeds GPU compute by >= 1.9x."""
         system = GpuSsdSystem(default_config())
-        rows = [system.phase_breakdown(get_workload(n)) for n in WORKLOADS]
+        rows = [system.phase_breakdown(WORKLOADS[n]) for n in WORKLOADS]
         move = sum(r.data_move_frac for r in rows) / len(rows)
         storage = sum(r.storage_frac for r in rows) / len(rows)
         assert 0.30 <= move <= 0.60
@@ -66,14 +66,14 @@ class TestFig3Model:
 
     def test_compute_heavy_apps_have_larger_gpu_share(self):
         system = GpuSsdSystem(default_config())
-        lud = system.phase_breakdown(get_workload("lud"))  # APKI 20
-        pr = system.phase_breakdown(get_workload("pagerank"))  # APKI 599
+        lud = system.phase_breakdown(WORKLOADS["lud"])  # APKI 20
+        pr = system.phase_breakdown(WORKLOADS["pagerank"])  # APKI 599
         assert lud.gpu_frac > pr.gpu_frac
 
     def test_memory_breakdown_fractions(self):
         system = GpuSsdSystem(default_config())
         for name in WORKLOADS:
-            b = system.memory_breakdown(get_workload(name))
+            b = system.memory_breakdown(WORKLOADS[name])
             assert b.dma_time_frac + b.dram_time_frac == pytest.approx(1.0)
             assert 0.0 < b.dma_energy_frac < 1.0
 
@@ -81,7 +81,7 @@ class TestFig3Model:
         """Fig. 3b: DMA is ~19 % of memory-subsystem energy on average."""
         system = GpuSsdSystem(default_config())
         vals = [
-            system.memory_breakdown(get_workload(n)).dma_energy_frac for n in WORKLOADS
+            system.memory_breakdown(WORKLOADS[n]).dma_energy_frac for n in WORKLOADS
         ]
         mean = sum(vals) / len(vals)
         assert 0.08 <= mean <= 0.40

@@ -2,9 +2,10 @@
 
 The contract under test (DESIGN.md section 12): every producer and
 consumer of warp accesses speaks the bounded-lookahead block iterator
-(``TraceSource`` / ``WarpStream``), and the streamed path is
-**bit-identical** to the materialized one — same access values, same
-``RunResult`` fingerprints — while holding O(warps x block) memory.
+(``TraceSource`` / ``WarpStream``).  Block boundaries never change a
+stream's values, and the streamed executor path is **bit-identical**
+to the materialized one — same ``RunResult`` fingerprints — while
+holding O(warps x block) memory.
 """
 
 from __future__ import annotations
@@ -77,22 +78,23 @@ def _small_traces(name):
 
 
 # ---------------------------------------------------------------------------
-# Streamed vs materialized parity — every registered family
+# Block-boundary invariance — every registered family
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_streamed_equals_materialized(name):
-    """materialize(build_source(...)) == build_traces(...), per warp.
+    """Small blocks stream the same trace as the default blocks.
 
     ``block_ops=7`` forces many small blocks (25 accesses -> 4 blocks
-    per warp), so any RNG-order or chunk-boundary divergence between
-    the streamed generators and the classic builders shows up.
+    per warp) against ``build_traces``' default-sized ones, so any
+    RNG-order or chunk-boundary dependence in a generator or a
+    composition shows up as a digest or tenant mismatch.
     """
-    classic = _small_traces(name)
-    streamed = materialize(_small_source(name))
-    assert len(streamed) == len(classic)
-    for got, want in zip(streamed, classic):
+    default = _small_traces(name)
+    small_blocks = materialize(_small_source(name, block_ops=7))
+    assert len(small_blocks) == len(default) == WARPS
+    for got, want in zip(small_blocks, default):
         assert got.digest() == want.digest()
         assert got.tenant == want.tenant
 

@@ -14,7 +14,7 @@ from repro.harness.executor import (
     execute_job,
     execute_job_recorded,
 )
-from repro.workloads.registry import get_workload, get_workload_def
+from repro.workloads.registry import get_workload_def
 from repro.workloads.synthetic import WarpTrace
 from repro.workloads.trace import (
     TraceFormatError,
@@ -48,7 +48,7 @@ def meta_for(traces, workload="backp"):
         mode="planar",
         line_bytes=128,
         num_warps=len(traces),
-        spec=get_workload(workload),
+        spec=get_workload_def(workload).spec,
     )
 
 
@@ -60,7 +60,7 @@ class TestFormatRoundTrip:
         save_traces(path, meta_for(traces), traces)
         meta, loaded = load_traces(path)
         assert meta.workload == "backp"
-        assert meta.spec == get_workload("backp")
+        assert meta.spec == get_workload_def("backp").spec
         assert len(loaded) == len(traces)
         for a, b in zip(traces, loaded):
             assert np.array_equal(a.gaps, b.gaps)

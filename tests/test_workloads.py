@@ -5,11 +5,26 @@ import pytest
 
 from repro.config import MB
 from repro.workloads.graphs import GraphTraceGenerator, build_scale_free_csr
-from repro.workloads.registry import WORKLOADS, generate_traces, get_workload, make_generator
+from repro.workloads.registry import (
+    WORKLOADS,
+    build_traces,
+    get_workload_def,
+    make_generator,
+)
+from repro.workloads.source import trace_from_blocks
 from repro.workloads.spec import TABLE2, WorkloadSpec
 from repro.workloads.synthetic import SyntheticTraceGenerator, WarpTrace, zipf_pmf
 
 FOOTPRINT = 8 * MB
+
+
+def spec_of(name):
+    return get_workload_def(name).spec
+
+
+def warp_trace(gen, warp, accesses):
+    """One warp's trace, concatenated from the generator's blocks."""
+    return trace_from_blocks(gen.warp_blocks(warp, accesses))
 
 
 class TestTable2:
@@ -32,13 +47,13 @@ class TestTable2:
         ],
     )
     def test_table2_values(self, name, apki, read_ratio):
-        spec = get_workload(name)
+        spec = spec_of(name)
         assert spec.apki == apki
         assert spec.read_ratio == read_ratio
 
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
-            get_workload("doom")
+            get_workload_def("doom")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -47,11 +62,11 @@ class TestTable2:
             WorkloadSpec("bad", 10, 1.5, "rodinia")
 
     def test_scaled_footprint_preserves_ratio(self):
-        spec = get_workload("backp")
+        spec = spec_of("backp")
         assert spec.scaled_footprint(12 * 1024) == spec.footprint_bytes // 1024
 
     def test_mean_gap(self):
-        assert get_workload("pagerank").mean_gap_instructions == pytest.approx(1000 / 599)
+        assert spec_of("pagerank").mean_gap_instructions == pytest.approx(1000 / 599)
 
 
 class TestZipf:
@@ -69,53 +84,55 @@ class TestZipf:
 
 class TestSyntheticTraces:
     def gen(self, name="backp"):
-        return SyntheticTraceGenerator(get_workload(name), FOOTPRINT, 128, 2048)
+        return SyntheticTraceGenerator(spec_of(name), FOOTPRINT, 128, 2048)
 
     def test_deterministic_per_warp(self):
         g = self.gen()
-        t1 = g.warp_trace(3, 50)
-        t2 = g.warp_trace(3, 50)
+        t1 = warp_trace(g, 3, 50)
+        t2 = warp_trace(g, 3, 50)
         assert np.array_equal(t1.addrs, t2.addrs)
         assert np.array_equal(t1.gaps, t2.gaps)
 
     def test_warps_differ(self):
         g = self.gen()
-        assert not np.array_equal(g.warp_trace(0, 50).addrs, g.warp_trace(1, 50).addrs)
+        assert not np.array_equal(
+            warp_trace(g, 0, 50).addrs, warp_trace(g, 1, 50).addrs
+        )
 
     def test_addresses_within_footprint(self):
-        t = self.gen().warp_trace(0, 200)
+        t = warp_trace(self.gen(), 0, 200)
         assert (t.addrs >= 0).all()
         assert (t.addrs < FOOTPRINT).all()
 
     def test_addresses_line_aligned(self):
-        t = self.gen().warp_trace(0, 200)
+        t = warp_trace(self.gen(), 0, 200)
         assert (t.addrs % 128 == 0).all()
 
     def test_apki_tracks_table2(self):
         """Instructions per access (gap + the memory inst) must give the
         Table II APKI."""
         for name in ("pagerank", "backp", "lud"):
-            spec = get_workload(name)
+            spec = spec_of(name)
             g = SyntheticTraceGenerator(spec, FOOTPRINT)
-            traces = [g.warp_trace(w, 300) for w in range(8)]
+            traces = [warp_trace(g, w, 300) for w in range(8)]
             insts = sum(t.total_instructions for t in traces)
             accesses = sum(len(t) for t in traces)
             measured_apki = 1000.0 * accesses / insts
             assert measured_apki == pytest.approx(spec.apki, rel=0.15), name
 
     def test_write_ratio_tracks_spec(self):
-        spec = get_workload("backp")  # read ratio 0.53
+        spec = spec_of("backp")  # read ratio 0.53
         g = SyntheticTraceGenerator(spec, FOOTPRINT)
-        writes = np.concatenate([g.warp_trace(w, 300).writes for w in range(8)])
+        writes = np.concatenate([warp_trace(g, w, 300).writes for w in range(8)])
         assert writes.mean() == pytest.approx(1 - spec.read_ratio, abs=0.08)
 
     def test_total_instructions(self):
-        t = self.gen().warp_trace(0, 40)
+        t = warp_trace(self.gen(), 0, 40)
         assert t.total_instructions == int(t.gaps.sum()) + 40
 
     def test_footprint_too_small_rejected(self):
         with pytest.raises(ValueError):
-            SyntheticTraceGenerator(get_workload("backp"), 100, page_bytes=4096)
+            SyntheticTraceGenerator(spec_of("backp"), 100, page_bytes=4096)
 
 
 class TestGraphTraces:
@@ -131,31 +148,31 @@ class TestGraphTraces:
             build_scale_free_csr(10_000, 1 * MB, 128)
 
     def test_trace_addresses_in_footprint(self):
-        g = GraphTraceGenerator(get_workload("pagerank"), FOOTPRINT, num_vertices=512)
-        t = g.warp_trace(0, 200)
+        g = GraphTraceGenerator(spec_of("pagerank"), FOOTPRINT, num_vertices=512)
+        t = warp_trace(g, 0, 200)
         assert (t.addrs >= 0).all()
         assert (t.addrs < FOOTPRINT).all()
 
     def test_trace_deterministic(self):
-        g = GraphTraceGenerator(get_workload("sssp"), FOOTPRINT, num_vertices=512)
-        assert np.array_equal(g.warp_trace(1, 100).addrs, g.warp_trace(1, 100).addrs)
+        g = GraphTraceGenerator(spec_of("sssp"), FOOTPRINT, num_vertices=512)
+        assert np.array_equal(warp_trace(g, 1, 100).addrs, warp_trace(g, 1, 100).addrs)
 
     def test_graph_workloads_get_graph_generator(self):
-        gen = make_generator(get_workload("pagerank"), FOOTPRINT)
+        gen = make_generator(spec_of("pagerank"), FOOTPRINT)
         assert isinstance(gen, GraphTraceGenerator)
 
     def test_synthetic_workloads_get_synthetic_generator(self):
-        gen = make_generator(get_workload("backp"), FOOTPRINT)
+        gen = make_generator(spec_of("backp"), FOOTPRINT)
         assert isinstance(gen, SyntheticTraceGenerator)
 
     def test_generate_traces_shape(self):
-        traces = generate_traces(get_workload("bfsdata"), FOOTPRINT, 8, 30)
+        traces = build_traces("bfsdata", FOOTPRINT, 8, 30)
         assert len(traces) == 8
         assert all(len(t) == 30 for t in traces)
 
     def test_all_workloads_generate(self):
         for name in WORKLOADS:
-            traces = generate_traces(get_workload(name), FOOTPRINT, 2, 20)
+            traces = build_traces(name, FOOTPRINT, 2, 20)
             assert len(traces) == 2
 
 
@@ -164,9 +181,9 @@ class TestTraceWellFormed:
     contract (sim/audit.py checks it per warp at model construction)."""
 
     def test_generated_traces_are_well_formed(self):
-        g = SyntheticTraceGenerator(get_workload("backp"), FOOTPRINT, 128, 2048)
+        g = SyntheticTraceGenerator(spec_of("backp"), FOOTPRINT, 128, 2048)
         for w in range(4):
-            assert g.warp_trace(w, 60).well_formed() == []
+            assert warp_trace(g, w, 60).well_formed() == []
 
     def test_misaligned_arrays_reported(self):
         t = WarpTrace(

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Docs-consistency check (CI, gating).
 
-Three invariants keep the documentation surface honest:
+Four invariants keep the documentation surface honest:
 
-1. every workload name registered at import time appears in
-   docs/WORKLOADS.md and every scenario name in docs/SCENARIOS.md
+1. every workload name registered at import time, and every trace
+   family in ``FAMILIES`` (as a backquoted name), appears in
+   docs/WORKLOADS.md, and every scenario name in docs/SCENARIOS.md
    (every experiment name in README.md or DESIGN.md is a soft
    courtesy we do not enforce);
 2. every CLI command — including nested groups like ``batch run`` and
@@ -38,13 +39,17 @@ sys.path.insert(0, str(REPO))  # for tools.reprolint (the rule registry)
 
 
 def check_workload_docs() -> list[str]:
-    from repro.workloads.registry import REGISTRY
+    from repro.workloads.registry import FAMILIES, REGISTRY
 
     doc = (REPO / "docs" / "WORKLOADS.md").read_text(encoding="utf-8")
     return [
         f"workload {name!r} is registered but not documented in docs/WORKLOADS.md"
         for name in REGISTRY
         if name not in doc
+    ] + [
+        f"family {name!r} is in FAMILIES but `{name}` is not in docs/WORKLOADS.md"
+        for name in FAMILIES
+        if f"`{name}`" not in doc
     ]
 
 
@@ -158,7 +163,7 @@ def main() -> int:
         print(f"\n{len(failures)} docs-consistency failure(s)", file=sys.stderr)
         return 1
     print(
-        "docs-consistency: all registered workloads documented, "
+        "docs-consistency: all registered workloads and families documented, "
         "all CLI commands in the README tour, all lint rules in the "
         "DESIGN.md catalogue, all examples run"
     )
