@@ -29,17 +29,6 @@ from repro.harness.registry import (
 )
 from repro.harness.report import emit_csv, emit_json, format_table
 from repro.harness.runner import Runner
-from repro.harness.service import (
-    LeaseLost,
-    LeaseManager,
-    ReproService,
-    ServiceClient,
-    ServiceError,
-    WorkerStats,
-    run_worker,
-    serve,
-    service_status,
-)
 from repro.harness.store import ResultStore, StoreEntry
 
 __all__ = [
@@ -51,15 +40,6 @@ __all__ = [
     "plan_shards",
     "ResultStore",
     "StoreEntry",
-    "ReproService",
-    "ServiceClient",
-    "ServiceError",
-    "LeaseManager",
-    "LeaseLost",
-    "WorkerStats",
-    "run_worker",
-    "serve",
-    "service_status",
     "RunConfig",
     "SimulationJob",
     "SerialExecutor",

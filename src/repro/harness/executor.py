@@ -517,6 +517,10 @@ class ParallelExecutor:
             return SerialExecutor().run_jobs(jobs, fn, on_result)
         tasks = self.plan(unique, per_job=on_result is not None)
         _spill_dir()
+        # Load numpy here, before the fork, so the workers share the
+        # parent's copy; loading it in each worker after the fork costs
+        # every worker the import and its own pages.
+        import numpy  # noqa: F401
         results = {}
         with futures.ProcessPoolExecutor(
             max_workers=min(self.max_workers, len(tasks)),

@@ -25,12 +25,13 @@ workers resolve the same names.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthetic import zipf_pmf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _apki_gaps(rng: np.random.Generator, apki: float, n: int) -> np.ndarray:
@@ -40,6 +41,8 @@ def _apki_gaps(rng: np.random.Generator, apki: float, n: int) -> np.ndarray:
     instructions per access (gap + the memory instruction itself) must
     average ``1000/APKI``.
     """
+    import numpy as np
+
     return (rng.geometric(p=min(1.0, apki / 1000.0), size=n) - 1).astype(np.int64)
 
 
@@ -108,6 +111,8 @@ class TiledGemmGenerator:
         The gap vector is drawn whole up front to keep the frozen
         digests' RNG consumption order, the tile walk streams in blocks.
         """
+        import numpy as np
+
         if num_accesses < 1:
             raise ValueError("need at least one access")
         rng = np.random.default_rng((self.seed, warp_global_id))
@@ -184,6 +189,8 @@ class PointerChaseGenerator:
         frontier_fraction: float = 0.15,
         frontier_write_ratio: float = 0.5,
     ) -> None:
+        import numpy as np
+
         if node_lines < 1:
             raise ValueError("node_lines must be at least 1")
         if chain_length < 1:
@@ -232,6 +239,8 @@ class PointerChaseGenerator:
         The gap vector is drawn whole up front to keep the frozen
         digests' RNG consumption order, the chase loop streams in blocks.
         """
+        import numpy as np
+
         if num_accesses < 1:
             raise ValueError("need at least one access")
         rng = np.random.default_rng((self.seed, warp_global_id))
@@ -325,6 +334,8 @@ class StreamingScanGenerator:
         frozen digests' RNG consumption order, the cursor sweep streams
         in blocks.
         """
+        import numpy as np
+
         if num_accesses < 1:
             raise ValueError("need at least one access")
         rng = np.random.default_rng((self.seed, warp_global_id))

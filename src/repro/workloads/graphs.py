@@ -15,11 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Set
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Set
 
 from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,8 @@ def build_scale_free_csr(
     seed: int = 11,
 ) -> CsrLayout:
     """Barabási–Albert graph in CSR form, fitted into the footprint."""
+    import numpy as np
+
     if num_vertices < attach_edges + 1:
         raise ValueError("graph too small for the attachment parameter")
     adjacency = barabasi_albert_adjacency(num_vertices, attach_edges, seed)
@@ -133,6 +136,8 @@ class GraphTraceGenerator:
         seed: int = 11,
         page_bytes: int = 4096,
     ) -> None:
+        import numpy as np
+
         self.spec = spec
         self.line_bytes = line_bytes
         self.csr = build_scale_free_csr(
@@ -151,7 +156,7 @@ class GraphTraceGenerator:
         self._page_scatter = rng.permutation(footprint_bytes // page_bytes)
 
     def _scatter(self, addrs: np.ndarray) -> np.ndarray:
-        pages, offsets = np.divmod(addrs, self.page_bytes)
+        pages, offsets = divmod(addrs, self.page_bytes)
         return self._page_scatter[pages] * self.page_bytes + offsets
 
     def warp_blocks(
@@ -171,6 +176,8 @@ class GraphTraceGenerator:
         the page scatter applied per block (it is elementwise, so chunked
         application is value-identical to scattering the whole array).
         """
+        import numpy as np
+
         rng = np.random.default_rng((self.seed, warp_global_id))
         # Total instructions per access (gap + the memory instruction)
         # must average 1000/APKI, so the compute gap is geometric with

@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.workloads.synthetic import WarpTrace
 
 #: Default ops per block: small enough that a parked block is cheap
@@ -255,6 +253,8 @@ class GeneratedTraceSource(TraceSource):
 def trace_from_blocks(blocks: Iterable[Block]) -> WarpTrace:
     """Concatenate one warp's blocks back into an unlabelled
     :class:`WarpTrace` — the one block-to-trace concatenation."""
+    import numpy as np
+
     gaps: List[int] = []
     addrs: List[int] = []
     writes: List[bool] = []

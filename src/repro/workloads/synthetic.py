@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,8 @@ class WarpTrace:
 
 def zipf_pmf(num_items: int, alpha: float) -> np.ndarray:
     """Truncated Zipf probability mass over ``num_items`` ranks."""
+    import numpy as np
+
     if num_items < 1:
         raise ValueError("need at least one item")
     ranks = np.arange(1, num_items + 1, dtype=np.float64)
@@ -120,6 +123,8 @@ class SyntheticTraceGenerator:
         page_bytes: int = 4096,
         seed: int = 7,
     ) -> None:
+        import numpy as np
+
         if footprint_bytes < page_bytes:
             raise ValueError("footprint smaller than one page")
         self.spec = spec
@@ -152,6 +157,8 @@ class SyntheticTraceGenerator:
         would reorder — so the per-warp transient is ~9 B/access; the
         address loop itself streams in ``block_ops``-sized slices.
         """
+        import numpy as np
+
         if num_accesses < 1:
             raise ValueError("need at least one access")
         rng = np.random.default_rng((self.seed, warp_global_id))

@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.workloads.source import Block, TraceSource, WarpStream, materialize
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthetic import WarpTrace
@@ -140,6 +138,8 @@ class TraceRecorder:
         self, tenants: Optional[Sequence[Optional[str]]] = None
     ) -> List[WarpTrace]:
         """The recording as replayable :class:`WarpTrace` objects."""
+        import numpy as np
+
         traces = []
         for w, stream in enumerate(self._streams):
             if not stream:

@@ -15,8 +15,7 @@ media.  It owns:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Dict, Optional
 
 from repro.config import XPointConfig
 from repro.sim.engine import ns
@@ -28,20 +27,6 @@ from repro.xpoint.translation import RegionTranslator
 # are modelled by the channel itself; this is the controller-side
 # processing latency per request.
 CONTROLLER_LATENCY_NS = 5.0
-
-
-@dataclass(slots=True)
-class BufferedOp:
-    addr: int
-    is_write: bool
-    ready_ps: int
-
-    @classmethod
-    def from_entry(cls, entry: tuple) -> "BufferedOp":
-        """View a queue entry as a record (the buffer itself stores bare
-        ``(addr, ready_ps)`` tuples — everything queued is a write)."""
-        addr, ready_ps = entry
-        return cls(addr=addr, is_write=True, ready_ps=ready_ps)
 
 
 class XPointController:

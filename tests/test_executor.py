@@ -5,7 +5,8 @@ available core.  These tests pin that the default is bit-identical to
 in-process serial execution (materialized and streamed traces), that
 the pool gets one task per trace-sharing group only when that keeps
 every worker busy, and that no pool is started — and ``multiprocessing``
-is not even imported — when none is needed.
+is not even imported — when none is needed.  A rerun served wholly from
+the cache loads no numpy either: it simulates nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +35,16 @@ QUICK = RunConfig(num_warps=48, accesses_per_warp=32)
 TINY = RunConfig(num_warps=8, accesses_per_warp=8)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# Runs the CLI in a fresh interpreter, then reports on stderr whether
+# numpy was loaded along the way.
+RUN_MAIN = """\
+import sys
+from repro.cli import main
+rc = main(sys.argv[1:])
+sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+sys.exit(rc)
+"""
+
 
 def _jobs(workloads, platforms=("Ohm-base", "Oracle"), run_cfg=TINY):
     return [
@@ -41,6 +52,14 @@ def _jobs(workloads, platforms=("Ohm-base", "Oracle"), run_cfg=TINY):
         for w in workloads
         for p in platforms
     ]
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter; capture bytes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, check=True, capture_output=True
+    )
 
 
 def _fingerprints(results: dict) -> dict:
@@ -175,6 +194,18 @@ class TestFallbacks:
         assert _fingerprints(rerun) == _fingerprints(filled)
 
     def test_cli_import_leaves_multiprocessing_out(self):
-        code = "import repro.cli, sys; assert 'multiprocessing' not in sys.modules"
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        # Nor numpy or the service daemon and its socket stack: a
+        # command loads only what it runs (DESIGN.md section 7, Rule 8).
+        deferred = ("multiprocessing", "numpy", "socket", "repro.harness.service")
+        code = "import repro.cli, sys; print(*(m for m in sys.argv[1:] if m in sys.modules))"
+        assert _python(code, *deferred).stdout.split() == []
+
+    def test_cache_hit_rerun_prints_same_bytes_without_numpy(self, tmp_path):
+        argv = ["experiment", "fig16", "--quick", "--jobs", "1",
+                "--cache-dir", str(tmp_path)]
+        fill = _python(RUN_MAIN, *argv)
+        assert fill.stderr.endswith(b"numpy loaded: True\n")
+        rerun = _python(RUN_MAIN, *argv)
+        assert b" 0 misses" in rerun.stderr
+        assert rerun.stderr.endswith(b"numpy loaded: False\n")
+        assert rerun.stdout == fill.stdout
