@@ -74,7 +74,7 @@ from repro.core.platforms import PLATFORMS
 from repro.harness import experiments  # noqa: F401  (populates the registry)
 from repro.harness.batch import DEFAULT_SHARD_SIZE, BatchError, BatchRun
 from repro.harness.cache import ResultCache
-from repro.harness.executor import SIZING_PRESETS, make_executor
+from repro.harness.executor import SIZING_PRESETS, EnvSettingError, make_executor
 from repro.harness.store import STORE_COLUMNS, ResultStore
 from repro.harness.registry import (
     EXPERIMENTS,
@@ -1727,6 +1727,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Raised while building traces, possibly in a pool worker, so
         # no per-command handler sees it.
         raise SystemExit(f"repro: {exc}")
+    except EnvSettingError as exc:
+        # A usage error like a bad flag (exit 2), read where a job
+        # first needs it — possibly in a pool worker.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,6 +41,17 @@ class Platform:
     def uses_xpoint(self) -> bool:
         return self.memory == "hetero"
 
+    @property
+    def mode_blind(self) -> bool:
+        """Whether the planar/two-level mode cannot change a run.
+
+        Only Origin: its DRAM-only slices read ``cfg.hetero.page_bytes``
+        and ``cfg.dram_capacity``, neither of which the mode sets.
+        Oracle is not blind — its DRAM is sized from the mode's
+        ``dram_to_xpoint_ratio``.
+        """
+        return self.memory == "dram_small"
+
 
 PLATFORMS: Dict[str, Platform] = {
     "Origin": Platform("Origin", "electrical", "dram_small", CAPS_NONE),

@@ -144,6 +144,24 @@ class SimulationJob:
             cfg = cfg.with_waveguides(self.run_cfg.waveguides)
         return cfg
 
+    def simulated_as(self) -> "SimulationJob":
+        """The job whose simulation this one's result is a relabel of.
+
+        A two-level job on a :attr:`~repro.core.platforms.Platform.mode_blind`
+        platform under the default config simulates exactly what its
+        PLANAR twin does — the results differ only in the ``mode``
+        label — so it returns that twin.  Every other job (including
+        any ``cfg`` override, which may set arbitrary knobs) simulates
+        as itself.
+        """
+        if (
+            self.mode is MemoryMode.TWO_LEVEL
+            and self.cfg is None
+            and PLATFORMS[self.platform].mode_blind
+        ):
+            return replace(self, mode=MemoryMode.PLANAR)
+        return self
+
     def to_dict(self) -> dict:
         """JSON-ready description; batch manifests persist these."""
         return {
@@ -202,12 +220,27 @@ _SPILL_DIR: Optional[Path] = None
 _SPILL_FILES: Dict[str, Path] = {}
 
 
+class EnvSettingError(ValueError):
+    """An environment variable the harness reads holds an invalid value."""
+
+
 def stream_ops_threshold() -> int:
-    return int(
-        os.environ.get(
-            "REPRO_STREAM_OPS_THRESHOLD", str(DEFAULT_STREAM_OPS_THRESHOLD)
+    """The streaming threshold, from ``REPRO_STREAM_OPS_THRESHOLD`` when
+    set; anything but a non-negative integer raises
+    :class:`EnvSettingError`."""
+    text = os.environ.get("REPRO_STREAM_OPS_THRESHOLD")
+    if text is None:
+        return DEFAULT_STREAM_OPS_THRESHOLD
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise EnvSettingError(
+            "REPRO_STREAM_OPS_THRESHOLD must be a non-negative integer "
+            f"(0 streams everything), got {text!r}"
         )
-    )
+    return value
 
 
 def trace_cache_stats() -> Dict[str, int]:

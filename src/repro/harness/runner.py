@@ -9,17 +9,27 @@ submit whole job batches through :meth:`Runner.run_jobs`, so Figs. 16,
 evaluates the distinct jobs concurrently.
 
 The lookup order per job is: in-memory memo -> persistent cache ->
-executor, with every executed result stored back to both.
+mode-blind twin -> executor.  A job that misses both stores is mapped
+to the job it simulates as (:meth:`SimulationJob.simulated_as`): an
+Origin two-level job is its planar twin, because Origin's DRAM-only
+memory ignores the mode.  The executor runs each distinct twin once
+per batch (a twin already in the memo is not re-run), and every job
+gets its twin's result relabeled with its own ``mode`` and stored back
+to both memo and cache under its own key — so cache keys, warm reruns
+and every printed byte are what running each job would give.
 
 When constructed with a ``batch_dir``, the runner routes every batch of
 never-seen jobs through a journaled
 :class:`~repro.harness.batch.BatchRun` instead of calling the executor
 directly, so any entry point — a figure experiment, a sweep, the CLI —
 becomes checkpointed and resumable without knowing about batches.
+That path skips the twin mapping and executes every job, because the
+shard journals count executed jobs.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -92,7 +102,8 @@ class Runner:
     def run_jobs(
         self, jobs: Sequence[SimulationJob]
     ) -> Dict[SimulationJob, RunResult]:
-        """Evaluate a batch; only never-seen jobs reach the executor."""
+        """Evaluate a batch; only never-seen, distinct systems reach the
+        executor (see :meth:`SimulationJob.simulated_as`)."""
         if self.batch_dir is not None:
             return self._run_jobs_batched(jobs)
         pending: List[SimulationJob] = []
@@ -106,11 +117,24 @@ class Runner:
                     continue
             pending.append(job)
         if pending:
-            for job, result in zip(pending, self.executor.run_jobs(pending)):
-                self._results[job] = result
-                if self.cache is not None:
-                    self.cache.put(job, result)
+            twins = {job: job.simulated_as() for job in pending}
+            todo = [
+                t for t in dict.fromkeys(twins.values()) if t not in self._results
+            ]
+            for twin, result in zip(todo, self.executor.run_jobs(todo)):
+                self._store(twin, result)
+            for job, twin in twins.items():
+                if twin != job:
+                    result = self._results[twin]
+                    self._store(job, replace(
+                        result, mode=job.mode.value, counters=dict(result.counters)
+                    ))
         return {job: self._results[job] for job in jobs}
+
+    def _store(self, job: SimulationJob, result: RunResult) -> None:
+        self._results[job] = result
+        if self.cache is not None:
+            self.cache.put(job, result)
 
     def _run_jobs_batched(
         self, jobs: Sequence[SimulationJob]

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.synthetic import zipf_pmf
+from repro.workloads.synthetic import draw_rank, zipf_cdf
 
 if TYPE_CHECKING:
     import numpy as np
@@ -221,7 +221,7 @@ class PointerChaseGenerator:
         # Hub skew: restarts prefer low Zipf ranks; a fixed permutation
         # decouples rank from arena position.
         hub_ranks = min(self.num_nodes, 4096)
-        self._hub_pmf = zipf_pmf(hub_ranks, spec.zipf_alpha)
+        self._hub_cdf = zipf_cdf(hub_ranks, spec.zipf_alpha)
         self._hub_of_rank = np.random.default_rng(seed).permutation(self.num_nodes)[
             :hub_ranks
         ]
@@ -265,7 +265,7 @@ class PointerChaseGenerator:
                 filled += 1
                 hops += 1
                 if hops >= self.chain_length:
-                    rank = int(rng.choice(len(self._hub_pmf), p=self._hub_pmf))
+                    rank = draw_rank(rng, self._hub_cdf)
                     node = int(self._hub_of_rank[rank])
                     hops = 0
                 else:

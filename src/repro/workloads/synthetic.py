@@ -10,6 +10,7 @@ read ratio).  Generation is deterministic per (workload, warp, seed).
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, List, Optional
@@ -112,6 +113,21 @@ def zipf_pmf(num_items: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def zipf_cdf(num_items: int, alpha: float) -> List[float]:
+    """:func:`zipf_pmf` accumulated and normalized exactly as
+    ``Generator.choice(n, p=pmf)`` does internally, built once so each
+    draw skips numpy's per-call CDF rebuild and validation."""
+    cdf = zipf_pmf(num_items, alpha).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw_rank(rng: np.random.Generator, cdf: List[float]) -> int:
+    """One rank from a :func:`zipf_cdf`; consumes ``rng`` and returns
+    the same value as ``rng.choice(len(cdf), p=pmf)``."""
+    return bisect_right(cdf, rng.random())
+
+
 class SyntheticTraceGenerator:
     """Builds per-warp traces for a workload over a scaled footprint."""
 
@@ -134,7 +150,7 @@ class SyntheticTraceGenerator:
         self.num_pages = footprint_bytes // page_bytes
         self.lines_per_page = page_bytes // line_bytes
         self.seed = seed
-        self._pmf = zipf_pmf(self.num_pages, spec.zipf_alpha)
+        self._cdf = zipf_cdf(self.num_pages, spec.zipf_alpha)
         # Random permutations decouple popularity rank from address, so
         # hot pages spread across controllers and groups.  The hot set
         # *drifts*: a fresh permutation applies each epoch, modelling
@@ -194,7 +210,7 @@ class SyntheticTraceGenerator:
                 filled += 1
             else:
                 epoch = min(filled // epoch_len, self.num_epochs - 1)
-                rank = rng.choice(self.num_pages, p=self._pmf)
+                rank = draw_rank(rng, self._cdf)
                 page = int(self._page_of_rank_by_epoch[epoch][rank])
                 run = min(int(rng.geometric(run_p)), num_accesses - filled)
                 start_line = int(rng.integers(self.lines_per_page))

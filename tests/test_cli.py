@@ -214,6 +214,26 @@ class TestWorkloadsCommands:
             "repro: mix_gemm_chase: need at least 2 warps for 2 tenants"
         )
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--platform", "Origin"],
+            # --jobs 2: the error is raised in a pool worker.
+            ["compare", "--jobs", "2"],
+        ],
+        ids=["run", "compare"],
+    )
+    def test_bad_stream_threshold_is_one_line(self, command, value, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_STREAM_OPS_THRESHOLD", value)
+        assert main(command + ["--workload", "backp", "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: REPRO_STREAM_OPS_THRESHOLD must be a non-negative integer "
+            f"(0 streams everything), got {value!r}\n"
+        )
+
     def test_workloads_list(self, capsys):
         assert main(["workloads", "list"]) == 0
         out = capsys.readouterr().out

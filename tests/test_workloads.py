@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import MB
 from repro.workloads.graphs import GraphTraceGenerator, build_scale_free_csr
@@ -13,7 +15,13 @@ from repro.workloads.registry import (
 )
 from repro.workloads.source import trace_from_blocks
 from repro.workloads.spec import TABLE2, WorkloadSpec
-from repro.workloads.synthetic import SyntheticTraceGenerator, WarpTrace, zipf_pmf
+from repro.workloads.synthetic import (
+    SyntheticTraceGenerator,
+    WarpTrace,
+    draw_rank,
+    zipf_cdf,
+    zipf_pmf,
+)
 
 FOOTPRINT = 8 * MB
 
@@ -80,6 +88,22 @@ class TestZipf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             zipf_pmf(0, 1.0)
+
+    @given(
+        n=st.integers(min_value=1, max_value=5000),
+        alpha=st.floats(min_value=0.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_draws_match_generator_choice(self, n, alpha, seed):
+        """The prebuilt CDF must reproduce ``rng.choice(n, p=pmf)`` draw
+        for draw, consuming the generator identically — every workload
+        digest rests on it, so a numpy change to ``choice`` fails here."""
+        pmf, cdf = zipf_pmf(n, alpha), zipf_cdf(n, alpha)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [draw_rank(ours, cdf) for _ in range(64)]
+        assert drawn == [int(theirs.choice(n, p=pmf)) for _ in range(64)]
+        assert ours.random() == theirs.random()
 
 
 class TestSyntheticTraces:
