@@ -1,5 +1,8 @@
 """GPU substrate tests: caches, interconnect, SM issue, warps."""
 
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,26 +185,62 @@ class TestGpuModel:
 # workloads at run time.
 REGISTERED_WORKLOADS = tuple(REGISTRY)
 
+#: Every registered workload x platform x mode job at this sizing.
+PARITY_RUN = RunConfig(num_warps=16, accesses_per_warp=16)
+REGISTRY_FINGERPRINTS = (
+    pathlib.Path(__file__).parent / "data" / "registry_fingerprints.json"
+)
+
+
+def _job_key(job) -> str:
+    return f"{job.platform}/{job.workload}/{job.mode.value}"
+
+
+def _registry_runs():
+    """``(job, cfg, spec, traces, platform)`` for every registry job."""
+    jobs = audit_jobs(run_cfg=PARITY_RUN, workloads=REGISTERED_WORKLOADS)
+    for job in jobs:
+        cfg = job.resolved_config()
+        spec = get_workload_def(job.workload).spec
+        yield job, cfg, spec, traces_for(job, cfg), PLATFORMS[job.platform]
+
 
 class TestDrainParity:
-    """The fused drain equals the per-event loop on the whole registry."""
+    """The fused drain equals the per-event loop on the whole registry,
+    and both equal the checked-in registry fingerprints.
+
+    If you change simulation *behavior on purpose*, regenerate with::
+
+        PYTHONPATH=src python tests/test_gpu.py --regen
+    """
 
     def test_fused_drain_matches_per_event_loop_everywhere(self):
-        jobs = audit_jobs(
-            run_cfg=RunConfig(num_warps=16, accesses_per_warp=16),
-            workloads=REGISTERED_WORKLOADS,
-        )
+        golden = json.loads(REGISTRY_FINGERPRINTS.read_text())
         mismatches = []
-        for job in jobs:
-            cfg = job.resolved_config()
-            spec = get_workload_def(job.workload).spec
-            traces = traces_for(job, cfg)
-            platform = PLATFORMS[job.platform]
+        unpinned = []
+        for job, cfg, spec, traces, platform in _registry_runs():
             fused = GpuModel(platform, cfg, spec, traces).run()
             per_event = GpuModel(platform, cfg, spec, traces).run(max_events=10**12)
-            if fused.fingerprint() != per_event.fingerprint():
-                mismatches.append(job)
+            fp = fused.fingerprint()
+            if fp != per_event.fingerprint():
+                mismatches.append(("per_event", job))
+            key = _job_key(job)
+            if key not in golden:
+                unpinned.append(key)
+            elif fp != golden[key]:
+                mismatches.append(("golden", job))
+        assert unpinned == [], "no registry fingerprint; run --regen"
+        assert len(golden) == len(REGISTERED_WORKLOADS) * len(PLATFORMS) * len(MemoryMode)
         assert mismatches == []
+
+
+def _regen() -> None:
+    out = {
+        _job_key(job): GpuModel(platform, cfg, spec, traces).run().fingerprint()
+        for job, cfg, spec, traces, platform in _registry_runs()
+    }
+    REGISTRY_FINGERPRINTS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(out)} fingerprints to {REGISTRY_FINGERPRINTS}")
 
 
 class TestStreamingMultiprocessor:
@@ -219,3 +258,12 @@ class TestStreamingMultiprocessor:
             PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, tiny_traces()
         )
         assert twin.sms[0].access_memory(0, False) == complete
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regen" in sys.argv:
+        _regen()
+    else:
+        print(TestDrainParity.__doc__)
