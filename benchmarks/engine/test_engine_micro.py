@@ -1,24 +1,18 @@
-"""Microbenchmarks for the engine primitives, each in isolation.
+"""Microbenchmark for the engine's warp lane, in isolation.
 
 The perf suite (``repro perf``) reports one headline events/sec number
-per workload; when that regresses, these microbenches localize the loss
-to a layer — the warp lane's per-event dispatch or the cache probe —
-without re-profiling the whole model.  Workloads are sized so a round
-finishes in milliseconds; pytest-benchmark's OPS column is the figure
-of merit.
+per workload; when that regresses, this microbench tells whether the
+loss is in the warp lane's per-event dispatch, without re-profiling the
+whole model.  Workloads are sized so a round finishes
+in milliseconds; pytest-benchmark's OPS column is the figure of merit.
 """
 
 from __future__ import annotations
 
-from repro.gpu.cache import SetAssocCache
 from repro.sim.engine import Engine
 
 LANE_WARPS = 64
 LANE_STEPS_PER_WARP = 50
-
-CACHE_LINES = 256
-CACHE_PASSES = 20
-LINE_BYTES = 64
 
 
 def _drain_lane() -> int:
@@ -41,23 +35,7 @@ def _drain_lane() -> int:
     return eng.events_processed
 
 
-def _probe_cache() -> int:
-    """Hit-probe a warm set-associative cache CACHE_PASSES times."""
-    cache = SetAssocCache(64 * 1024, 8, LINE_BYTES)
-    access = cache.access
-    for line in range(CACHE_LINES):  # warm fill (cold misses)
-        access(line * LINE_BYTES, False)
-    for _ in range(CACHE_PASSES):
-        for line in range(CACHE_LINES):
-            access(line * LINE_BYTES, False)
-    return cache.stats.hits
-
-
 def test_warp_lane_step(benchmark):
     processed = benchmark.pedantic(_drain_lane, rounds=3, iterations=1)
     assert processed == LANE_WARPS * LANE_STEPS_PER_WARP
 
-
-def test_cache_hit_probe(benchmark):
-    hits = benchmark.pedantic(_probe_cache, rounds=3, iterations=1)
-    assert hits == CACHE_LINES * CACHE_PASSES

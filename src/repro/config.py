@@ -33,10 +33,11 @@ class GpuConfig:
     num_sms: int = 16
     sm_freq_ghz: float = 1.2
     warps_per_sm: int = 24
-    l1_size: int = 48 * KB
-    l1_ways: int = 6
-    l2_size: int = 6 * MB
-    l2_ways: int = 8
+    # Traces are post-cache streams, so no cache model exists.
+    l1_size: int = 48 * KB  # read by no model; kept: job fingerprints hash it
+    l1_ways: int = 6  # read by no model; kept: job fingerprints hash it
+    l2_size: int = 6 * MB  # read by no model; kept: job fingerprints hash it
+    l2_ways: int = 8  # read by no model; kept: job fingerprints hash it
     line_bytes: int = 128
 
 
@@ -130,12 +131,13 @@ class HeteroConfig:
 
 @dataclass(frozen=True)
 class HostConfig:
-    """Host DMA / SSD model backing Fig. 3 and the Origin platform."""
+    """Host PCIe DMA link backing Fig. 3 and the Origin platform's page faults."""
 
     pcie_bandwidth_gb_per_s: float = 16.0
     pcie_latency_us: float = 4.0
-    ssd_read_latency_us: float = 20.0  # Z-NAND class device [57]
-    ssd_write_latency_us: float = 25.0
+    # Z-NAND class device [57]; no SSD model exists.
+    ssd_read_latency_us: float = 20.0  # read by no model; kept: job fingerprints hash it
+    ssd_write_latency_us: float = 25.0  # read by no model; kept: job fingerprints hash it
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,9 @@ class SystemConfig:
     # Baseline GPU DRAM capacity before scaling: 24 GB (NVIDIA K80).
     base_dram_capacity: int = 24 * GB
     # Paper scales by 12x; we scale much further for pure-Python runs.
-    # All capacity *ratios* (DRAM:XPoint, footprint:DRAM) are preserved.
+    # The DRAM:XPoint ratio and each workload's nominal footprint:DRAM
+    # ratio are preserved, but the footprint a run *touches* depends on
+    # its sizing (warps x accesses), so whether it overflows DRAM is not.
     scale_down: int = 12 * 1024
     # Bandwidth scaling: the scaled-down GPU issues ~1000x fewer
     # requests per second than the real one, so channel/PCIe bandwidths

@@ -7,7 +7,6 @@ from typing import List, Sequence
 
 from repro.config import SystemConfig
 from repro.core.slices import SliceBase
-from repro.sim.records import MemRequest
 from repro.sim.stats import Stats
 
 
@@ -36,8 +35,7 @@ class MemorySystem:
     def serve_addr(self, addr: int, is_write: bool, now_ps: int) -> int:
         """Serve a bare demand access; returns its completion time.
 
-        The per-event entry point: interleave arithmetic inline, no
-        request record required.
+        The per-event entry point, with the interleave arithmetic inline.
         """
         if addr < 0:
             raise ValueError("negative address")
@@ -46,9 +44,3 @@ class MemorySystem:
         return self.slices[page % n].serve(
             (page // n) * self.page_bytes + offset, is_write, now_ps
         )
-
-    def serve(self, req: MemRequest, now_ps: int) -> int:
-        """Serve a demand request; returns its completion time."""
-        complete = self.serve_addr(req.addr, req.is_write, now_ps)
-        req.complete_ps = complete
-        return complete

@@ -1,15 +1,12 @@
-"""GPU substrate: SMs with warp-level latency hiding, L1/L2 caches and
-the SM<->L2 interconnect (Figure 2's baseline GPU)."""
+"""GPU substrate: SMs with warp-level latency hiding and the SM<->memory
+interconnect (Figure 2's baseline GPU)."""
 
-from repro.gpu.cache import CacheStats, SetAssocCache
 from repro.gpu.gpu import GpuModel, RunResult
 from repro.gpu.interconnect import Interconnect
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.warp import Warp
 
 __all__ = [
-    "SetAssocCache",
-    "CacheStats",
     "Interconnect",
     "StreamingMultiprocessor",
     "Warp",

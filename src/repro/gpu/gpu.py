@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Union
 from repro.config import SystemConfig
 from repro.core.memsystem import MemorySystem
 from repro.core.platforms import Platform, build_memory_system
-from repro.gpu.cache import SetAssocCache
 from repro.gpu.interconnect import Interconnect
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.warp import Warp, WarpLane
@@ -128,7 +127,6 @@ class GpuModel:  # reprolint: allow(R2) once-per-run orchestrator, never allocat
         cfg: SystemConfig,
         spec: WorkloadSpec,
         traces: Union[List[WarpTrace], TraceSource],
-        model_caches: bool = False,
         recorder: Optional[TraceRecorder] = None,
         auditor: Optional[Auditor] = None,
     ) -> None:
@@ -164,11 +162,6 @@ class GpuModel:  # reprolint: allow(R2) once-per-run orchestrator, never allocat
         self.stats = Stats()
         self.memory: MemorySystem = build_memory_system(platform, cfg, self.stats)
         self.interconnect = Interconnect(stats=self.stats)
-        shared_l2 = (
-            SetAssocCache(cfg.gpu.l2_size, cfg.gpu.l2_ways, cfg.gpu.line_bytes, "l2")
-            if model_caches
-            else None
-        )
         self.sms = [
             StreamingMultiprocessor(
                 sm_id=i,
@@ -178,12 +171,6 @@ class GpuModel:  # reprolint: allow(R2) once-per-run orchestrator, never allocat
                 stats=self.stats,
                 freq_ghz=cfg.gpu.sm_freq_ghz,
                 line_bytes=cfg.gpu.line_bytes,
-                l1=(
-                    SetAssocCache(cfg.gpu.l1_size, cfg.gpu.l1_ways, cfg.gpu.line_bytes, f"l1.{i}")
-                    if model_caches
-                    else None
-                ),
-                l2=shared_l2,
             )
             for i in range(cfg.gpu.num_sms)
         ]

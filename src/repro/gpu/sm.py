@@ -2,31 +2,26 @@
 
 The SM issues one instruction per cycle; compute bursts from different
 warps serialize on this capacity.  Memory instructions go through the
-(optional) L1 cache, the interconnect and the memory system; the warp
-sleeps until the response timestamp.
+interconnect and the memory system; the warp sleeps until the response
+timestamp.  The traces are post-cache streams, so no on-chip cache is
+modelled.
 
-:meth:`StreamingMultiprocessor.access_memory` is the hot entry point:
-warps hand it a bare ``(addr, is_write)`` pair, so cache hits complete
-without ever allocating a :class:`~repro.sim.records.MemRequest` — a
-request object is built only for background L2 writebacks and for the
-:meth:`submit_memory_request` compatibility wrapper.
+:meth:`StreamingMultiprocessor.access_memory` is the reference memory
+path: warps hand it a bare ``(addr, is_write)`` pair.
+:meth:`~StreamingMultiprocessor._access_uncached` is its fast variant,
+which the warp lane binds while both methods are pristine.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.gpu.cache import SetAssocCache
 from repro.gpu.interconnect import Interconnect
 from repro.sim.engine import Engine, freq_ghz_to_period_ps
-from repro.sim.records import MemRequest
 from repro.sim.stats import Stats
 
 if TYPE_CHECKING:
     from repro.core.memsystem import MemorySystem
-
-L1_HIT_LATENCY_CYCLES = 4
-L2_HIT_LATENCY_CYCLES = 30
 
 
 class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain probes sm.__dict__ to detect instance patches (gpu/warp.py uniformity check)
@@ -41,8 +36,6 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
         stats: Stats,
         freq_ghz: float = 1.2,
         line_bytes: int = 128,
-        l1: Optional[SetAssocCache] = None,
-        l2: Optional[SetAssocCache] = None,
     ) -> None:
         self.sm_id = sm_id
         self.engine = engine
@@ -51,23 +44,19 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
         self.stats = stats
         self.period_ps = freq_ghz_to_period_ps(freq_ghz)
         self.line_bytes = line_bytes
-        self.l1 = l1
-        self.l2 = l2  # shared; multiple SMs may hold the same object
         self._issue_free_at = 0
         # Pre-bound stat handles: every per-event name resolved once;
         # the busiest three are raw dict updates on constant keys.
         self._cdict = stats.counters
         self._lat_mem = stats.latency_handle("mem.latency_ps")
-        self._l1_hit_ps = L1_HIT_LATENCY_CYCLES * self.period_ps
-        self._l2_hit_ps = L2_HIT_LATENCY_CYCLES * self.period_ps
         self._line_bits = line_bytes * 8
-        # Demand-path specialization: every demand miss moves exactly
+        # Demand-path specialization: every demand access moves exactly
         # one line, so the crossbar occupancy is a constant — computed
-        # once here, letting the uncached fast path inline the traverse.
+        # once here, letting the fast path inline the traverse.
         self._noc_occupancy_ps = interconnect.occupancy_ps(self._line_bits)
         self._serve_addr = memory.serve_addr
         # Page-interleave routing, pre-resolved: when the memory system
-        # is the real one (not a test double), the uncached fast path
+        # is the real one (not a test double), the fast path
         # picks the slice itself and calls its ``serve`` directly — the
         # ``serve_addr`` dispatch hop disappears from the per-event path.
         from repro.core.memsystem import MemorySystem
@@ -77,7 +66,7 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
             self._ms_slices = memory.slices
             self._ms_page_bytes = memory.page_bytes
             self._ms_num_slices = memory._num_slices
-            # One-tuple constant pack for the uncached fast path: one
+            # One-tuple constant pack for the fast path: one
             # unpack replaces a dozen attribute chains per access.
             self._fp = (
                 engine,
@@ -94,16 +83,6 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
             )
         else:
             self._fp = None
-        # Cache probes, pre-bound (caches are fixed at construction):
-        # the cached path calls the probe directly instead of chasing
-        # ``self.l1``/``self.l2`` per access.
-        self._l1_access = l1.access if l1 is not None else None
-        self._l2_access = l2.access if l2 is not None else None
-        #: The warp lane's memory entry point: the uncached configuration
-        #: (every perf-suite case) skips the cache probes entirely.
-        self.fast_access = (
-            self._access_uncached if l1 is None and l2 is None else self.access_memory
-        )
 
     def issue_burst(self, instructions: int) -> int:
         """Claim issue slots for ``instructions``; returns finish time."""
@@ -120,29 +99,10 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
     def access_memory(self, addr: int, is_write: bool) -> int:
         """Run the memory path synchronously; returns completion time.
 
-        Takes the bare access pair so L1 hits (the common case on
-        cache-modelled runs) cost a tag probe and an add — no request
-        record is allocated before the access commits to main memory.
+        The reference path: crossbar ``traverse``, the memory system's
+        ``serve_addr``, the demand counter and the latency ``record``.
         """
         now = self.engine.now
-        l1_access = self._l1_access
-        if l1_access is not None:
-            hit, _ = l1_access(addr, is_write)
-            if hit:
-                self._cdict["gpu.l1_hits"] += 1
-                return now + self._l1_hit_ps
-        l2_access = self._l2_access
-        if l2_access is not None:
-            hit, evicted = l2_access(addr, is_write)
-            if hit:
-                self._cdict["gpu.l2_hits"] += 1
-                return now + self._l2_hit_ps
-            if evicted is not None and evicted.dirty:
-                # Dirty L2 victim: write back to memory in the background.
-                wb = MemRequest.demand(
-                    evicted.addr, True, self.line_bytes, self.sm_id, -1, now
-                )
-                self.memory.serve(wb, now)
         arrive = self.interconnect.traverse(now, self._line_bits)
         complete = self.memory.serve_addr(addr, is_write, arrive)
         self._cdict["mem.demand_requests"] += 1
@@ -150,10 +110,9 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
         return complete
 
     def _access_uncached(self, addr: int, is_write: bool) -> int:
-        """Demand path with no caches modelled: crossbar + memory system.
+        """Fast variant of :meth:`access_memory`.
 
-        Same arithmetic and the same counter-update order as
-        :meth:`access_memory` falling through both cache probes, with
+        Same arithmetic and the same counter-update order, with
         the crossbar traverse inlined against the precomputed line
         occupancy (the ``int(round(...))`` per call goes away), the
         page-interleave routing resolved here (no ``serve_addr`` hop)
@@ -208,10 +167,4 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
             lat.max_value = value
         lat.count += 1
         lat.total += value
-        return complete
-
-    def submit_memory_request(self, req: MemRequest) -> int:
-        """Compatibility wrapper over :meth:`access_memory`."""
-        complete = self.access_memory(req.addr, req.is_write)
-        req.complete_ps = complete
         return complete

@@ -156,10 +156,11 @@ class WarpLane:
         self._writes: List[List[bool]] = []
         self._sms = [w.sm for w in warps]
         # The lane inlines SM issue accounting and binds the fast memory
-        # entry point — but only for pristine SMs.  A subclassed or
-        # patched SM (the audit drift tests inject counter leaks this
-        # way) keeps its methods on the event path.  "Pristine" means
-        # the method is still the exact function this module captured at
+        # variant — but only for pristine SMs.  A subclassed or patched
+        # SM (the audit drift tests inject counter leaks this way, the
+        # reference-oracle test wraps ``access_memory``) keeps the
+        # reference method on the event path.  "Pristine" means the
+        # method is still the exact function this module captured at
         # import time, with no instance override shadowing it.
         def _pristine(sm: "StreamingMultiprocessor", name: str) -> bool:
             return (
@@ -170,7 +171,7 @@ class WarpLane:
         self._inline_burst = all(_pristine(w.sm, "issue_burst") for w in warps)
         self._issue = [w.sm.issue_burst for w in warps]
         self._access = [
-            w.sm.fast_access
+            w.sm._access_uncached
             if _pristine(w.sm, "access_memory")
             and _pristine(w.sm, "_access_uncached")
             else w.sm.access_memory

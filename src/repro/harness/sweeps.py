@@ -98,27 +98,6 @@ def sweep_hot_threshold(
     )
 
 
-def sweep_waveguides(
-    platform: str = "Ohm-base",
-    workload: str = "GRAMS",
-    counts: Sequence[int] = (1, 2, 4, 8),
-    sizing: Optional[RunConfig] = None,
-    runner: Optional[Runner] = None,
-    batch_dir: Optional[Union[str, Path]] = None,
-) -> List[SweepPoint]:
-    """Fig. 20a's knob as a reusable sweep."""
-    return sweep_config(
-        platform,
-        workload,
-        MemoryMode.PLANAR,
-        counts,
-        lambda cfg, v: cfg.with_waveguides(int(v)),
-        sizing,
-        runner,
-        batch_dir,
-    )
-
-
 def sweep_xpoint_read_latency(
     platform: str = "Ohm-BW",
     workload: str = "pagerank",

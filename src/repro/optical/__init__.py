@@ -12,7 +12,6 @@ from repro.optical.dynamic import DynamicWavelengthAllocator
 from repro.optical.layout import MrrLayout, layout_for_mode
 from repro.optical.mrr import CouplingState, MicroRingResonator
 from repro.optical.power import OpticalPowerModel
-from repro.optical.serdes import SerDes
 from repro.optical.waveguide import Waveguide
 from repro.optical.wavelength import WavelengthAllocator
 from repro.optical.wom import WomCodec
@@ -25,7 +24,6 @@ __all__ = [
     "OpticalChannel",
     "VirtualChannel",
     "RouteKind",
-    "SerDes",
     "WomCodec",
     "OpticalPowerModel",
     "LinkBudget",

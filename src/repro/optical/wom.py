@@ -22,8 +22,6 @@ _GEN2 = {d: c ^ 0b111 for d, c in _GEN1.items()}
 _GEN1_INV = {c: d for d, c in _GEN1.items()}
 _GEN2_INV = {c: d for d, c in _GEN2.items()}
 
-EFFECTIVE_BANDWIDTH_FRACTION = 2.0 / 3.0
-
 
 def _weight(code: int) -> int:
     return bin(code).count("1")
@@ -92,6 +90,11 @@ class WomCodec:
     def _check_code(code: int) -> None:
         if not 0 <= code <= 0b111:
             raise ValueError(f"codeword must be 3 bits, got {code}")
+
+
+#: Payload share of the light bits: what a memory request's bandwidth
+#: drops to on a WOM-coded channel.
+EFFECTIVE_BANDWIDTH_FRACTION = WomCodec.data_bits / WomCodec.code_bits
 
 
 def two_writers_roundtrip(d1: int, d2: int) -> Tuple[int, int]:

@@ -14,7 +14,7 @@ from repro.sim.audit import (
     ValidatingEngine,
 )
 from repro.sim.engine import Engine, PS_PER_NS, PS_PER_US, freq_ghz_to_period_ps, ns, us
-from repro.sim.records import Access, MemRequest, RequestKind
+from repro.sim.records import RequestKind
 from repro.sim.stats import Histogram, LatencyStat, Stats
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "freq_ghz_to_period_ps",
     "ns",
     "us",
-    "Access",
-    "MemRequest",
     "RequestKind",
     "Stats",
     "LatencyStat",

@@ -13,14 +13,12 @@ invariant prefix      what must hold
 ====================  =================================================
 ``engine.*``          event time never moves backwards; the heap drains
                       completely (no event stranded past the last warp)
-``gpu.*``             memory requests issued by the warps == requests
-                      retired by caches + memory (nothing lost, nothing
+``gpu.*``             memory ops issued by the warps == demand
+                      requests served by memory (nothing lost, nothing
                       double-counted); latency samples == demand
                       requests; instructions retired by warps == the
                       SMs' issue counter; NoC bits == demand requests
                       x line size
-``cache.*``           ``hits + misses == accesses`` per cache, and the
-                      caches' own tallies == the SMs' hit counters
 ``channel.*``         bits offered to each port == bits its counters
                       account (bytes-in == bytes-out per transfer
                       window); windows are sane (no past start, no
@@ -312,12 +310,11 @@ class Auditor:
         c = result.counters
         self._check_engine(model)
         self._check_gpu(model, result, c)
-        self._check_caches(model, c)
         self._check_channels(model, c)
         self._check_dram(model, c)
         self._check_xpoint(model, c)
         self._check_host(model, c)
-        self._check_hetero(model, c)
+        self._check_hetero(c)
         self._check_tenants(model, result, c)
         self._check_energy(model, result)
         if self.strict:
@@ -336,19 +333,12 @@ class Auditor:
         )
 
     def _check_gpu(self, model: "GpuModel", result: "RunResult", c) -> None:
-        ops_issued = sum(len(w.trace) for w in model.warps)
-        retired = (
-            c.get("gpu.l1_hits", 0.0)
-            + c.get("gpu.l2_hits", 0.0)
-            + c.get("mem.demand_requests", 0.0)
-        )
         self.check_equal(
             "gpu.requests_conserved",
             "gpu",
-            ops_issued,
-            retired,
-            "memory requests issued by warps != requests retired "
-            "(L1 hits + L2 hits + demand requests)",
+            sum(len(w.trace) for w in model.warps),
+            c.get("mem.demand_requests", 0.0),
+            "memory ops issued by warps != demand requests served",
         )
         self.check_equal(
             "gpu.latency_samples",
@@ -379,50 +369,6 @@ class Auditor:
                 c.get("mem.demand_requests", 0.0) * line_bits,
                 c["noc.bits"],
                 "interconnect bits != demand requests x line size",
-            )
-
-    def _check_caches(self, model: "GpuModel", c) -> None:
-        l1s = [sm.l1 for sm in model.sms if sm.l1 is not None]
-        l2s = {id(sm.l2): sm.l2 for sm in model.sms if sm.l2 is not None}
-        for cache in l1s + list(l2s.values()):
-            st = cache.stats
-            self.check_equal(
-                "cache.access_split",
-                cache.name,
-                st.accesses,
-                st.hits + st.misses,
-                "hits + misses != accesses",
-            )
-        if l1s:
-            self.check_equal(
-                "cache.l1_accounting",
-                "l1",
-                sum(cache.stats.hits for cache in l1s),
-                c.get("gpu.l1_hits", 0.0),
-                "L1 caches' own hit tallies != the SMs' l1_hits counter",
-            )
-        if l2s:
-            self.check_equal(
-                "cache.l2_accounting",
-                "l2",
-                sum(cache.stats.hits for cache in l2s.values()),
-                c.get("gpu.l2_hits", 0.0),
-                "L2 caches' own hit tallies != the SMs' l2_hits counter",
-            )
-            if l1s:
-                self.check_equal(
-                    "cache.l2_demand_flow",
-                    "l2",
-                    sum(cache.stats.misses for cache in l1s),
-                    sum(cache.stats.accesses for cache in l2s.values()),
-                    "L1 misses != L2 accesses",
-                )
-            self.check_equal(
-                "cache.memory_flow",
-                "l2",
-                sum(cache.stats.misses for cache in l2s.values()),
-                c.get("mem.demand_requests", 0.0),
-                "L2 misses != demand requests reaching memory",
             )
 
     def _check_channels(self, model: "GpuModel", c) -> None:
@@ -560,7 +506,7 @@ class Auditor:
             "PCIe bytes != transfers x page size",
         )
 
-    def _check_hetero(self, model: "GpuModel", c) -> None:
+    def _check_hetero(self, c) -> None:
         if "mem.swaps" in c or "mem.migrations" in c:
             if "mem.dram_cache_misses" in c:
                 self.check_equal(
@@ -579,16 +525,10 @@ class Auditor:
                     "planar migrations != page swaps",
                 )
         if "mem.dram_cache_hits" in c or "mem.dram_cache_misses" in c:
-            # Dirty L2 victims are written back through the memory
-            # system and count as extra serves (the L2 is shared, so
-            # deduplicate by object identity).
-            l2s = {id(sm.l2): sm.l2 for sm in model.sms if sm.l2 is not None}
-            writebacks = sum(l2.stats.writebacks for l2 in l2s.values())
-            served = c.get("mem.demand_requests", 0.0) + writebacks
             self.check_equal(
                 "hetero.dram_cache_split",
                 "mem",
-                served,
+                c.get("mem.demand_requests", 0.0),
                 c.get("mem.dram_cache_hits", 0.0)
                 + c.get("mem.dram_cache_misses", 0.0),
                 "DRAM-cache hits + misses != requests served",

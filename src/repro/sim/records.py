@@ -1,13 +1,8 @@
-"""Request/response records that flow through the memory system."""
+"""Request kinds that tag every channel transfer."""
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional
-
-_req_ids = itertools.count()
 
 
 class RequestKind(enum.Enum):
@@ -21,54 +16,3 @@ class RequestKind(enum.Enum):
     DEMAND = "demand"
     MIGRATION = "migration"
     HOST_DMA = "host_dma"
-
-
-@dataclass(slots=True)
-class Access:
-    """A single memory access emitted by a warp (post-L2, line granular)."""
-
-    addr: int
-    is_write: bool
-    size_bytes: int = 128
-
-
-@dataclass(slots=True)
-class MemRequest:
-    """A demand request travelling from an SM to memory and back.
-
-    Slotted but *not* frozen (a frozen dataclass pays an
-    ``object.__setattr__`` per field per construction).  The simulator's
-    hottest path no longer allocates requests at all — warps hand bare
-    ``(addr, is_write)`` pairs to the SM — so only L2 writebacks and
-    harness-level callers build these.
-    """
-
-    addr: int
-    is_write: bool
-    size_bytes: int
-    sm_id: int
-    warp_id: int
-    kind: RequestKind = RequestKind.DEMAND
-    issue_ps: int = 0
-    complete_ps: Optional[int] = None
-    served_by: str = ""  # "dram" | "xpoint" | "host"
-    req_id: int = field(default_factory=lambda: next(_req_ids))
-
-    @classmethod
-    def demand(
-        cls,
-        addr: int,
-        is_write: bool,
-        size_bytes: int,
-        sm_id: int,
-        warp_id: int,
-        issue_ps: int,
-    ) -> "MemRequest":
-        """Positional constructor for the common demand-read/write shape."""
-        return cls(addr, is_write, size_bytes, sm_id, warp_id, issue_ps=issue_ps)
-
-    @property
-    def latency_ps(self) -> int:
-        if self.complete_ps is None:
-            raise ValueError(f"request {self.req_id} has not completed")
-        return self.complete_ps - self.issue_ps

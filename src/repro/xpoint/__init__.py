@@ -2,7 +2,6 @@
 wear levelling and SECDED ECC (Section II-C / III-A)."""
 
 from repro.xpoint.controller import XPointController
-from repro.xpoint.ddrt import DdrTBus, DdrTTransaction, TxnKind, TxnState
 from repro.xpoint.device import XPointDevice
 from repro.xpoint.ecc import SecDedCodec
 from repro.xpoint.translation import RegionTranslator
@@ -14,8 +13,4 @@ __all__ = [
     "StartGap",
     "SecDedCodec",
     "RegionTranslator",
-    "DdrTBus",
-    "DdrTTransaction",
-    "TxnKind",
-    "TxnState",
 ]

@@ -91,10 +91,6 @@ class RegionTranslator:
             (base + write_slot) * self.row_bytes,
         )
 
-    def region_of(self, addr: int) -> int:
-        """Region index an address decodes to (audit/scenario helper)."""
-        return ((addr // self.row_bytes) % self.num_rows) // self.region_rows
-
     @property
     def gaps(self) -> list[StartGap]:
         """Per-region Start-Gap remappers (audit/scenario access)."""

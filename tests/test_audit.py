@@ -9,10 +9,14 @@ Three angles:
   counters) is caught by the matching invariant, proving the audit is
   not vacuously green;
 * **harness** — the sweep's matrix builder, journal resume, outcome
-  serialization and CLI gate behave.
+  serialization and CLI gate behave;
+* **catalogue** — DESIGN.md §10.1 lists exactly the invariants the
+  auditor records (the ``tools/check_docs.py`` gate).
 """
 
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -43,6 +47,12 @@ from repro.sim.audit import (
 from repro.workloads.registry import get_workload_def
 
 SMALL = RunConfig(num_warps=16, accesses_per_warp=16)
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
+
+from tools.check_docs import check_invariant_catalogue  # noqa: E402
 
 
 def audited_model(platform, workload, mode, run_cfg=SMALL, strict=False):
@@ -193,21 +203,6 @@ class TestCleanRuns:
         )
         assert execute_job(validated).fingerprint() == execute_job(base).fingerprint()
 
-    def test_cache_modelled_run_audits_clean(self):
-        # The cache invariants only fire when L1/L2 are modelled.
-        job = SimulationJob("Oracle", "backp", MemoryMode.PLANAR, SMALL)
-        cfg = job.resolved_config()
-        defn = get_workload_def("backp")
-        auditor = Auditor(strict=True)
-        model = GpuModel(
-            PLATFORMS["Oracle"], cfg, defn.spec, traces_for(job, cfg),
-            model_caches=True, auditor=auditor,
-        )
-        model.run()  # strict: raises on any violation
-        assert any(sm.l1 is not None for sm in model.sms)
-        assert auditor.checks_run > 0
-
-
 class TestDetection:
     """Injected drift of every class must trip the matching invariant."""
 
@@ -244,22 +239,6 @@ class TestDetection:
         dram = model.memory.slices[0].dram
         model.stats.add(f"{dram.name}.reads", 3)  # reads no one issued
         assert "dram.access_split" in self._violations(model, auditor)
-
-    def test_cache_tally_drift(self):
-        # CacheStats.accesses is a stored ledger counted on entry while
-        # hits/misses are counted per branch — drifting either side
-        # must trip the split invariant.
-        job = SimulationJob("Oracle", "backp", MemoryMode.PLANAR, SMALL)
-        cfg = job.resolved_config()
-        defn = get_workload_def("backp")
-        auditor = Auditor()
-        model = GpuModel(
-            PLATFORMS["Oracle"], cfg, defn.spec, traces_for(job, cfg),
-            model_caches=True, auditor=auditor,
-        )
-        model.sms[0].l1.stats.accesses += 1  # an access no branch saw
-        model.run()
-        assert "cache.access_split" in {v.invariant for v in auditor.violations}
 
     def test_xpoint_write_drift(self):
         model, auditor = audited_model("Ohm-base", "backp", MemoryMode.PLANAR)
@@ -656,3 +635,35 @@ class TestAuditCli:
         ])
         assert rc == 0
         assert "exec time" in capsys.readouterr().out
+
+
+class TestCatalogue:
+    """The DESIGN.md §10.1 gate fails on a missing or a stale row."""
+
+    DESIGN = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+
+    def test_catalogue_matches_the_auditor(self):
+        assert check_invariant_catalogue(self.DESIGN) == []
+
+    def test_missing_row_fails(self):
+        row = next(
+            line for line in self.DESIGN.splitlines()
+            if line.startswith("| `xpoint.startgap_rotations`")
+        )
+        failures = check_invariant_catalogue(self.DESIGN.replace(row + "\n", ""))
+        assert len(failures) == 1
+        assert "'xpoint.startgap_rotations'" in failures[0]
+
+    def test_stale_row_fails(self):
+        design = self.DESIGN.replace(
+            "| `engine.heap_drain` |", "| `engine.heap_drain` / `cache.access_split` |"
+        )
+        failures = check_invariant_catalogue(design)
+        assert len(failures) == 1
+        assert "'cache.access_split'" in failures[0]
+
+    def test_loop_built_ids_are_expanded(self):
+        design = self.DESIGN.replace(" / `tenant.accesses`", "")
+        failures = check_invariant_catalogue(design)
+        assert len(failures) == 1
+        assert "'tenant.accesses'" in failures[0]

@@ -14,7 +14,6 @@ from repro.core.functions import (
 from repro.core.handshake import DdrMonitor, DdrSequenceGenerator, SwapState
 from repro.core.platforms import PLATFORMS, build_memory_system
 from repro.core.slices import PlanarSlice, TwoLevelSlice
-from repro.sim.records import MemRequest
 from repro.sim.stats import Stats
 
 
@@ -169,12 +168,14 @@ class TestMemorySystemRouting:
         with pytest.raises(ValueError):
             ms.route(-1)
 
-    def test_serve_sets_completion(self):
-        ms, _ = self.make()
-        req = MemRequest(addr=0, is_write=False, size_bytes=128, sm_id=0, warp_id=0)
-        done = ms.serve(req, 0)
-        assert req.complete_ps == done
-        assert req.latency_ps >= 0
+    def test_serve_addr_serves_on_the_routed_slice(self):
+        ms, cfg = self.make()
+        addr = cfg.hetero.page_bytes * 7 + 128
+        done = ms.serve_addr(addr, False, 1000)
+        assert done > 1000
+        twin, _ = self.make()
+        slice_, local = twin.route(addr)
+        assert slice_.serve(local, False, 1000) == done
 
 
 class TestSliceBehaviours:

@@ -1,22 +1,19 @@
-"""GPU substrate tests: caches, interconnect, SM issue, warps."""
+"""GPU substrate tests: interconnect, SM issue, warps."""
 
 import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import numpy as np
 
 from repro.config import MemoryMode, default_config
 from repro.core.platforms import PLATFORMS
-from repro.gpu.cache import SetAssocCache
 from repro.gpu.gpu import GpuModel
 from repro.gpu.interconnect import Interconnect
+from repro.gpu.sm import StreamingMultiprocessor
 from repro.harness.audit import audit_jobs
 from repro.harness.executor import RunConfig, traces_for
-from repro.sim.records import MemRequest
 from repro.workloads.registry import REGISTRY, get_workload_def
 from repro.workloads.synthetic import WarpTrace
 
@@ -30,67 +27,6 @@ def tiny_traces(n_warps=4, n_acc=6, line=128):
         )
         for w in range(n_warps)
     ]
-
-
-class TestCache:
-    def test_miss_then_hit(self):
-        c = SetAssocCache(1024, 2, 64)
-        hit, _ = c.access(0, False)
-        assert not hit
-        hit, _ = c.access(0, False)
-        assert hit
-
-    def test_lru_eviction(self):
-        c = SetAssocCache(2 * 64, 2, 64)  # one set, two ways
-        c.access(0, False)
-        c.access(64, False)
-        c.access(0, False)  # refresh line 0
-        _, evicted = c.access(128, False)  # evicts line 64 (LRU)
-        assert evicted is not None
-        assert evicted.addr == 64
-
-    def test_dirty_eviction_flagged(self):
-        c = SetAssocCache(2 * 64, 2, 64)
-        c.access(0, True)
-        c.access(64, False)
-        _, evicted = c.access(128, False)
-        assert evicted.dirty
-        assert c.stats.writebacks == 1
-
-    def test_write_hit_marks_dirty(self):
-        c = SetAssocCache(2 * 64, 2, 64)
-        c.access(0, False)
-        c.access(0, True)
-        c.access(64, False)
-        _, evicted = c.access(128, False)
-        assert evicted.dirty
-
-    def test_flush_returns_dirty_lines(self):
-        c = SetAssocCache(1024, 2, 64)
-        c.access(0, True)
-        c.access(64, False)
-        dirty = c.flush()
-        assert [e.addr for e in dirty] == [0]
-        assert not c.contains(0)
-
-    def test_hit_rate(self):
-        c = SetAssocCache(1024, 2, 64)
-        c.access(0, False)
-        c.access(0, False)
-        assert c.stats.hit_rate == pytest.approx(0.5)
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            SetAssocCache(1000, 3, 64)
-
-    @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200))
-    @settings(max_examples=30)
-    def test_occupancy_never_exceeds_ways(self, lines):
-        c = SetAssocCache(4 * 64, 2, 64)  # 2 sets x 2 ways
-        for line in lines:
-            c.access(line * 64, False)
-        for set_index in range(c.num_sets):
-            assert c.set_occupancy(set_index) <= 2
 
 
 class TestInterconnect:
@@ -126,22 +62,6 @@ class TestGpuModel:
         result = model.run()
         # Each access: 3 compute insts + 1 memory inst.
         assert result.instructions == 4 * 6 * 4
-
-    def test_caches_absorb_repeats(self):
-        cfg = default_config(MemoryMode.PLANAR)
-        n = 8
-        traces = [
-            WarpTrace(
-                gaps=np.ones(n, dtype=np.int64),
-                addrs=np.zeros(n, dtype=np.int64),  # same line repeatedly
-                writes=np.zeros(n, dtype=bool),
-            )
-        ]
-        model = GpuModel(
-            PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, traces, model_caches=True
-        )
-        result = model.run()
-        assert result.counters.get("gpu.l1_hits", 0) >= n - 1
 
     def test_empty_traces_rejected(self):
         cfg = default_config()
@@ -206,24 +126,41 @@ def _registry_runs():
 
 
 class TestDrainParity:
-    """The fused drain equals the per-event loop on the whole registry,
-    and both equal the checked-in registry fingerprints.
+    """On the whole registry, the fused drain equals the per-event loop,
+    the reference memory path equals the fast one, and all three equal
+    the checked-in registry fingerprints.
 
     If you change simulation *behavior on purpose*, regenerate with::
 
         PYTHONPATH=src python tests/test_gpu.py --regen
     """
 
-    def test_fused_drain_matches_per_event_loop_everywhere(self):
+    def test_fused_drain_matches_per_event_loop_everywhere(self, monkeypatch):
         golden = json.loads(REGISTRY_FINGERPRINTS.read_text())
+        reference = StreamingMultiprocessor.access_memory
+        reference_calls = [0]
+
+        def wrapped(sm, addr, is_write):
+            reference_calls[0] += 1
+            return reference(sm, addr, is_write)
+
         mismatches = []
         unpinned = []
         for job, cfg, spec, traces, platform in _registry_runs():
             fused = GpuModel(platform, cfg, spec, traces).run()
             per_event = GpuModel(platform, cfg, spec, traces).run(max_events=10**12)
+            # A wrapped access_memory is not pristine, so the lane
+            # dispatches every access through the reference method.
+            with monkeypatch.context() as m:
+                m.setattr(StreamingMultiprocessor, "access_memory", wrapped)
+                calls_before = reference_calls[0]
+                via_reference = GpuModel(platform, cfg, spec, traces).run()
+            assert reference_calls[0] - calls_before == via_reference.demand_requests
             fp = fused.fingerprint()
             if fp != per_event.fingerprint():
                 mismatches.append(("per_event", job))
+            if fp != via_reference.fingerprint():
+                mismatches.append(("reference", job))
             key = _job_key(job)
             if key not in golden:
                 unpinned.append(key)
@@ -241,23 +178,6 @@ def _regen() -> None:
     }
     REGISTRY_FINGERPRINTS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(out)} fingerprints to {REGISTRY_FINGERPRINTS}")
-
-
-class TestStreamingMultiprocessor:
-    def test_submit_memory_request_wrapper(self):
-        # The request-object API must agree with the bare-pair fast path
-        # and record the completion on the request.
-        cfg = default_config(MemoryMode.PLANAR)
-        model = GpuModel(PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, tiny_traces())
-        sm = model.sms[0]
-        req = MemRequest(addr=0, is_write=False, size_bytes=128, sm_id=0, warp_id=0)
-        complete = sm.submit_memory_request(req)
-        assert req.complete_ps == complete
-        assert complete > 0
-        twin = GpuModel(
-            PLATFORMS["Oracle"], cfg, get_workload_def("backp").spec, tiny_traces()
-        )
-        assert twin.sms[0].access_memory(0, False) == complete
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.registry import run_spec
 from repro.harness.report import format_table
-from repro.sim.records import MemRequest, RequestKind
+from repro.sim.records import RequestKind
 
 TINY = RunConfig(num_warps=12, accesses_per_warp=16)
 APPS = ("backp", "pagerank")
@@ -88,18 +88,6 @@ class TestReport:
 
 
 class TestRecords:
-    def test_latency_requires_completion(self):
-        req = MemRequest(addr=0, is_write=False, size_bytes=128, sm_id=0, warp_id=0)
-        with pytest.raises(ValueError):
-            _ = req.latency_ps
-        req.complete_ps = req.issue_ps + 10
-        assert req.latency_ps == 10
-
-    def test_request_ids_unique(self):
-        a = MemRequest(addr=0, is_write=False, size_bytes=128, sm_id=0, warp_id=0)
-        b = MemRequest(addr=0, is_write=False, size_bytes=128, sm_id=0, warp_id=0)
-        assert a.req_id != b.req_id
-
     def test_request_kinds(self):
         assert {k.value for k in RequestKind} == {"demand", "migration", "host_dma"}
 

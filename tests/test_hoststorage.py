@@ -1,11 +1,10 @@
-"""Host/storage substrate tests: PCIe, SSD, Fig. 3 phase model."""
+"""Host/storage substrate tests: PCIe, Fig. 3 phase model."""
 
 import pytest
 
 from repro.config import HostConfig, default_config
 from repro.hoststorage.gpudirect import GpuSsdSystem
 from repro.hoststorage.pcie import HostLink
-from repro.hoststorage.ssd import Ssd
 from repro.sim.engine import us
 from repro.workloads.registry import WORKLOADS
 
@@ -30,18 +29,6 @@ class TestHostLink:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             HostLink(HostConfig()).transfer(0, 0)
-
-
-class TestSsd:
-    def test_write_slower_than_read(self):
-        ssd = Ssd(HostConfig())
-        assert ssd.access(0, 4096, True) > ssd.access(0, 4096, False)
-
-    def test_bandwidth_occupancy(self):
-        ssd = Ssd(HostConfig())
-        ssd.access(0, 1 << 24, False)
-        t = ssd.access(0, 4096, False)
-        assert t > ssd.read_latency_ps  # queued behind the big read
 
 
 class TestFig3Model:

@@ -1,5 +1,5 @@
 """Optical substrate tests: MRR, waveguide, wavelengths, power, BER,
-layout, SerDes."""
+layout."""
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,6 @@ from repro.optical.layout import (
 )
 from repro.optical.mrr import FINE_TUNE_PS, FULL_TUNE_PS, CouplingState, MicroRingResonator
 from repro.optical.power import OpticalPowerModel
-from repro.optical.serdes import SerDes
 from repro.optical.waveguide import Waveguide, db_to_fraction
 from repro.optical.wavelength import WavelengthAllocator
 
@@ -164,23 +163,3 @@ class TestLayout:
     def test_layout_for_mode(self):
         assert layout_for_mode(MemoryMode.PLANAR) is PLANAR_LAYOUT
         assert layout_for_mode(MemoryMode.TWO_LEVEL) is TWO_LEVEL_LAYOUT
-
-
-class TestSerDes:
-    def test_push_pop(self):
-        s = SerDes()
-        lat = s.push(1024)
-        assert lat > 0
-        assert s.occupied_bytes == 1024
-        s.pop(1024)
-        assert s.occupied_bytes == 0
-
-    def test_overflow_raises(self):
-        s = SerDes(buffer_bytes=1024)
-        s.push(1024)
-        with pytest.raises(BufferError):
-            s.push(1)
-
-    def test_pop_more_than_buffered(self):
-        with pytest.raises(ValueError):
-            SerDes().pop(1)

@@ -49,6 +49,9 @@ class TestBandwidth:
     def test_effective_fraction_is_two_thirds(self):
         assert EFFECTIVE_BANDWIDTH_FRACTION == pytest.approx(2 / 3)
 
+    def test_effective_fraction_matches_codec_overhead(self):
+        assert EFFECTIVE_BANDWIDTH_FRACTION == 1024 / WomCodec().overhead_bits(1024)
+
     def test_overhead_bits(self):
         assert codec.overhead_bits(1024) == 1536
         assert codec.overhead_bits(3) == 6  # rounds up to whole symbols

@@ -16,7 +16,11 @@ Four invariants keep the documentation surface honest:
    mode (REPRO_SMOKE=1);
 4. every reprolint rule id registered in tools/reprolint (plus the R0
    pragma-hygiene meta rule) is documented in DESIGN.md section 15 —
-   a new rule without catalogue prose fails here.
+   a new rule without catalogue prose fails here;
+5. the DESIGN.md §10.1 invariant catalogue matches the auditor: every
+   invariant id that ``src/repro/sim/`` records has a row, and every
+   row names an id that ``src/repro`` records (read from the source
+   with ``ast``, so a new invariant without a row fails here).
 
 Run locally::
 
@@ -28,8 +32,10 @@ individual failure first.
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -119,6 +125,114 @@ def check_lint_rule_docs() -> list[str]:
     return failures
 
 
+#: The ``Auditor`` methods whose first argument is an invariant id.
+_RECORDING_CALLS = frozenset({"record", "check", "check_equal", "check_close"})
+_INVARIANT_PREFIX = re.compile(r"[a-z]+\.")
+
+
+def _literal_loops(func: ast.AST) -> dict[str, list[str]]:
+    """Loop variables in ``func`` that iterate a literal tuple of strings."""
+    loops: dict[str, list[str]] = {}
+    for node in ast.walk(func):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            target, values = node.target, node.iter
+            if (
+                isinstance(target, ast.Name)
+                and isinstance(values, (ast.Tuple, ast.List))
+                and all(
+                    isinstance(v, ast.Constant) and isinstance(v.value, str)
+                    for v in values.elts
+                )
+            ):
+                loops[target.id] = [v.value for v in values.elts]
+    return loops
+
+
+def _expand(arg: ast.AST, loops: dict[str, list[str]]) -> list[str] | None:
+    """The string values an id argument takes; None if not resolvable."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return [arg.value]
+    if not isinstance(arg, ast.JoinedStr):
+        return None
+    out = [""]
+    for part in arg.values:
+        if isinstance(part, ast.Constant):
+            out = [prefix + part.value for prefix in out]
+        elif isinstance(part.value, ast.Name) and part.value.id in loops:
+            out = [prefix + v for prefix in out for v in loops[part.value.id]]
+        else:
+            return None
+    return out
+
+
+def recorded_invariants(root: pathlib.Path) -> tuple[set[str], list[str]]:
+    """Invariant ids the audit calls under ``root`` record, and the calls
+    whose id could not be resolved statically."""
+    ids: set[str] = set()
+    unresolved: list[str] = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loops = _literal_loops(func)
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and call.args):
+                    continue
+                name = getattr(call.func, "attr", getattr(call.func, "id", None))
+                if name not in _RECORDING_CALLS:
+                    continue
+                arg = call.args[0]
+                head = arg.values[0] if isinstance(arg, ast.JoinedStr) else arg
+                if not (
+                    isinstance(head, ast.Constant)
+                    and isinstance(head.value, str)
+                    and _INVARIANT_PREFIX.match(head.value)
+                ):
+                    continue  # not an invariant id (a sample, a warp index)
+                values = _expand(arg, loops)
+                if values is None:
+                    unresolved.append(f"{path.relative_to(REPO)}:{call.lineno}")
+                else:
+                    ids.update(values)
+    return ids, unresolved
+
+
+def check_invariant_catalogue(design: str | None = None) -> list[str]:
+    """DESIGN.md §10.1 (or ``design``, its text) has a row for each
+    invariant ``src/repro/sim`` records and no row for any other id."""
+    if design is None:
+        design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+    marker = "### 10.1"
+    idx = design.find(marker)
+    if idx < 0:
+        return ["DESIGN.md has no section 10.1 (the invariant catalogue)"]
+    section = design[idx:]
+    nxt = section.find("\n### ", len(marker))
+    if nxt > 0:
+        section = section[:nxt]
+    rows: set[str] = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            rows.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    required, unresolved = recorded_invariants(REPO / "src" / "repro" / "sim")
+    recorded, more = recorded_invariants(REPO / "src" / "repro")
+    failures = [
+        f"cannot resolve the invariant id recorded at {where}; use a literal"
+        for where in sorted(set(unresolved + more))
+    ]
+    failures += [
+        f"invariant {rid!r} is recorded in src/repro/sim but has no row "
+        "in the DESIGN.md §10.1 catalogue"
+        for rid in sorted(required - rows)
+    ]
+    failures += [
+        f"DESIGN.md §10.1 lists {rid!r}, which no code in src/repro records"
+        for rid in sorted(rows - recorded)
+    ]
+    return failures
+
+
 def check_required_docs_exist() -> list[str]:
     required = ("README.md", "docs/WORKLOADS.md", "docs/SCENARIOS.md", "DESIGN.md")
     return [
@@ -156,6 +270,7 @@ def main() -> int:
     failures += check_scenario_docs()
     failures += check_cli_docs()
     failures += check_lint_rule_docs()
+    failures += check_invariant_catalogue()
     failures += check_examples_smoke()
     if failures:
         for f in failures:
@@ -164,8 +279,8 @@ def main() -> int:
         return 1
     print(
         "docs-consistency: all registered workloads and families documented, "
-        "all CLI commands in the README tour, all lint rules in the "
-        "DESIGN.md catalogue, all examples run"
+        "all CLI commands in the README tour, all lint rules and audit "
+        "invariants in the DESIGN.md catalogues, all examples run"
     )
     return 0
 

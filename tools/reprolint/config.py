@@ -28,13 +28,11 @@ from typing import Dict, FrozenSet, Tuple
 #   * qualnames listed in the module's extra-cold set.
 #
 # The set mirrors §7's named loops: the engine drain, the fused warp
-# step, the cache probe, the channel transfer_window paths, the DRAM
-# device access path, the SM, and the XPoint controller/slice serve
-# paths they feed.
+# step, the channel transfer_window paths, the DRAM device access path,
+# the SM, and the XPoint controller/slice serve paths they feed.
 HOT_MODULES: Dict[str, FrozenSet[str]] = {
     "sim/engine.py": frozenset(),
     "gpu/warp.py": frozenset(),
-    "gpu/cache.py": frozenset(),
     "gpu/sm.py": frozenset(),
     "gpu/interconnect.py": frozenset(),
     "dram/device.py": frozenset(),
