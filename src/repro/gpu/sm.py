@@ -56,16 +56,12 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
         self._noc_occupancy_ps = interconnect.occupancy_ps(self._line_bits)
         self._serve_addr = memory.serve_addr
         # Page-interleave routing, pre-resolved: when the memory system
-        # is the real one (not a test double), the fast path
-        # picks the slice itself and calls its ``serve`` directly — the
+        # is the real one (not a test double), the fast path picks the
+        # slice itself and calls its ``serve`` directly — the
         # ``serve_addr`` dispatch hop disappears from the per-event path.
         from repro.core.memsystem import MemorySystem
 
-        self._route_inline = type(memory) is MemorySystem
-        if self._route_inline:
-            self._ms_slices = memory.slices
-            self._ms_page_bytes = memory.page_bytes
-            self._ms_num_slices = memory._num_slices
+        if type(memory) is MemorySystem:
             # One-tuple constant pack for the fast path: one
             # unpack replaces a dozen attribute chains per access.
             self._fp = (

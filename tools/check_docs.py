@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency check (CI, gating).
 
-Four invariants keep the documentation surface honest:
+Five invariants keep the documentation surface honest:
 
 1. every workload name registered at import time, and every trace
    family in ``FAMILIES`` (as a backquoted name), appears in
