@@ -68,67 +68,6 @@ def test_event_count_is_deterministic():
     assert a.instructions == b.instructions
 
 
-def test_run_suite_resumes_from_journal(tmp_path, monkeypatch):
-    """`repro perf --journal`: measured cases are skipped on re-run,
-    a different repeat count re-measures (fast: timing is stubbed)."""
-    from repro.harness import perf
-
-    calls = []
-
-    def fake_measure(case, repeats=3):
-        calls.append(case.name)
-        return perf.PerfMeasurement(
-            case=case.name, platform=case.platform, workload=case.workload,
-            mode=case.mode.value, events=10, instructions=5, wall_s=0.1,
-            events_per_sec=100.0, repeats=repeats,
-        )
-
-    monkeypatch.setattr(perf, "measure_case", fake_measure)
-    journal = str(tmp_path / "perf.jsonl")
-    cases = perf.SMOKE_CASES[:2]
-
-    first = perf.run_suite(cases, repeats=2, journal=journal)
-    assert calls == [c.name for c in cases]
-    second = perf.run_suite(cases, repeats=2, journal=journal)
-    assert calls == [c.name for c in cases]  # fully resumed, 0 re-measured
-    assert [m.to_dict() for m in second] == [m.to_dict() for m in first]
-
-    perf.run_suite(cases[:1], repeats=5, journal=journal)
-    assert calls == [c.name for c in cases] + [cases[0].name]
-
-
-def test_run_suite_remeasures_on_case_definition_change(tmp_path, monkeypatch):
-    """A journaled number must not survive a change to the case's
-    definition: records carry a case digest, and a mismatch re-measures."""
-    from repro.harness import perf
-    from repro.harness.batch import read_jsonl
-
-    calls = []
-
-    def fake_measure(case, repeats=3):
-        calls.append(case.name)
-        return perf.PerfMeasurement(
-            case=case.name, platform=case.platform, workload=case.workload,
-            mode=case.mode.value, events=10, instructions=5, wall_s=0.1,
-            events_per_sec=100.0, repeats=repeats,
-        )
-
-    monkeypatch.setattr(perf, "measure_case", fake_measure)
-    journal = tmp_path / "j.jsonl"
-    cases = perf.SMOKE_CASES[:1]
-    perf.run_suite(cases, repeats=1, journal=str(journal))
-    # Simulate the case definition changing under the same name: the
-    # stored digest no longer matches what _case_digest derives now.
-    recs = read_jsonl(journal)
-    recs[0]["case_digest"] = "0" * 64
-    journal.write_text("".join(json.dumps(r) + "\n" for r in recs))
-    perf.run_suite(cases, repeats=1, journal=str(journal))
-    assert calls == [cases[0].name, cases[0].name]  # re-measured
-    # And the fresh record now shadows the stale one.
-    perf.run_suite(cases, repeats=1, journal=str(journal))
-    assert calls == [cases[0].name, cases[0].name]  # resumed this time
-
-
 def _stub_measurement(name, eps, repeats=1):
     from repro.harness.perf import PerfMeasurement
 

@@ -49,8 +49,7 @@ invariant audit armed: a violated conservation law aborts the command
 with every recorded violation.  ``audit`` sweeps the whole
 workload-registry x platform x mode matrix under a collecting auditor
 and reports per-job verdicts (table/json/csv); ``--smoke`` is the
-CI-sized gate and ``--journal`` makes the sweep crash-resumable.  See
-DESIGN.md section 10 for the invariant catalogue.
+CI-sized gate.  See DESIGN.md section 10 for the invariant catalogue.
 
 The ``workloads`` group fronts the workload subsystem (see
 docs/WORKLOADS.md): ``list``/``describe`` introspect the registry,
@@ -437,7 +436,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         run_audit,
     )
 
-    _enable_log("repro.audit")
     run_cfg = SMOKE_SIZING if args.smoke else DEFAULT_SIZING
     if args.warps:
         run_cfg = dataclasses.replace(run_cfg, num_warps=args.warps)
@@ -453,12 +451,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         )
     except KeyError as exc:
         raise SystemExit(f"repro: {exc.args[0]}")
-    try:
-        outcomes = run_audit(
-            jobs, executor=make_executor(args.jobs), journal=args.journal
-        )
-    except OSError as exc:
-        raise SystemExit(f"repro: --journal: {exc}")
+    outcomes = run_audit(jobs, executor=make_executor(args.jobs))
     report = audit_report(outcomes)
     failing = [o for o in outcomes if not o.ok]
     if args.format == "table":
@@ -502,12 +495,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     )
 
     cases = SMOKE_CASES if args.smoke else PERF_CASES
-    if args.journal:
-        try:
-            Path(args.journal).parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SystemExit(f"repro: --journal: {exc}")
-    measurements = run_suite(cases, repeats=args.repeats, journal=args.journal)
+    measurements = run_suite(cases, repeats=args.repeats)
     print(suite_table(measurements, args.repeats))
     from datetime import datetime, timezone
 
@@ -815,6 +803,8 @@ def cmd_trace_remap(args: argparse.Namespace) -> int:
     """`repro trace remap`: shift (and optionally wrap) every address."""
     offset = args.offset
     wrap = args.wrap
+    if wrap < 0:
+        raise SystemExit("repro: --wrap must be >= 0")
 
     def transform(warp_id, stream, block):
         gaps, addrs, writes = block
@@ -1634,11 +1624,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit_report = flags()
     audit_report.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="journal each audited job to this JSONL file and resume "
-        "from it on re-invocation (skips already-audited jobs)",
-    )
-    audit_report.add_argument(
         "--format", choices=["table", *EMITTERS], default="table",
         help="report format (default: table of violating jobs only)",
     )
@@ -1658,17 +1643,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="quick CI-sized cases instead of figure-sized ones",
     )
     p_perf.add_argument(
-        "--repeats", type=int, default=3,
+        "--repeats", type=_positive_int, default=3,
         help="timed runs per case; the best is reported (default: 3)",
     )
     p_perf.add_argument(
         "-o", "--output", default="BENCH_perf.json",
         help="write the before/after payload here (default: BENCH_perf.json)",
-    )
-    p_perf.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="journal each finished case to this JSONL file and resume "
-        "from it on re-invocation (skips already-measured cases)",
     )
     p_perf.add_argument(
         "--compare", default=None, metavar="OLD_JSON",

@@ -201,11 +201,5 @@ class DramDevice:  # reprolint: allow(R2) the slice fast path probes dram.__dict
         return sum(b.preset_activations for b in self.banks)
 
     @property
-    def total_occupancies(self) -> int:
-        """Bulk bank reservations (page streams driven by an external
-        engine through :meth:`occupy_bank`)."""
-        return sum(b.occupancies for b in self.banks)
-
-    @property
     def total_accesses(self) -> int:
         return sum(b.accesses for b in self.banks)

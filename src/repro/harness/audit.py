@@ -6,28 +6,16 @@ job through the existing executor layer with a collecting (non-strict)
 :class:`~repro.sim.audit.Auditor` attached, and folds the per-job
 outcomes into one report — a table for terminals plus json/csv through
 the structured emitters in :mod:`repro.harness.report`.
-
-Resumability rides the batch layer's JSONL write-ahead journal
-(:func:`~repro.harness.batch.append_jsonl`): with ``--journal PATH``
-the sweep executes in executor-sized waves and appends each wave's
-outcomes as it lands, and a re-invocation skips jobs whose fingerprint
-is already journaled — the same crash-recovery contract the sharded
-batch scheduler gives simulation results (DESIGN.md section 9),
-applied to audit outcomes.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import MemoryMode
 from repro.core.platforms import PLATFORMS
 from repro.gpu.gpu import GpuModel
-from repro.harness.batch import append_jsonl, read_jsonl
-from repro.harness.cache import job_fingerprint
 from repro.harness.executor import (
     SIZING_PRESETS,
     RunConfig,
@@ -37,8 +25,6 @@ from repro.harness.executor import (
 )
 from repro.sim.audit import Auditor
 from repro.workloads.registry import REGISTRY, get_workload_def
-
-log = logging.getLogger("repro.audit")
 
 AUDIT_SCHEMA = 1
 
@@ -89,17 +75,6 @@ class AuditOutcome:
             "violations": list(self.violations),
             "fingerprint": self.fingerprint,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AuditOutcome":
-        return cls(
-            platform=data["platform"],
-            workload=data["workload"],
-            mode=data["mode"],
-            checks=data["checks"],
-            violations=tuple(data["violations"]),
-            fingerprint=data["fingerprint"],
-        )
 
     def to_row(self) -> dict:
         """Flat row for the table printer and the json/csv emitters."""
@@ -193,56 +168,11 @@ def audit_jobs(
 
 
 def run_audit(
-    jobs: Sequence[SimulationJob],
-    executor: Optional[object] = None,
-    journal: Optional[Union[str, Path]] = None,
+    jobs: Sequence[SimulationJob], executor: Optional[object] = None
 ) -> List[AuditOutcome]:
-    """Audit every job; outcomes in job order.
-
-    ``journal`` makes the sweep resumable: each outcome is appended to
-    the JSONL journal as it completes (keyed by the job's cache
-    fingerprint), and jobs already journaled are not re-simulated.
-    """
+    """Audit every job; outcomes in job order, duplicates audited once."""
     executor = executor or SerialExecutor()
-    done: Dict[str, AuditOutcome] = {}
-    if journal is not None:
-        for rec in read_jsonl(journal):
-            if rec.get("schema") != AUDIT_SCHEMA or "key" not in rec:
-                continue
-            try:
-                done[rec["key"]] = AuditOutcome.from_dict(rec["outcome"])
-            except (KeyError, TypeError):
-                log.warning("audit journal: skipping malformed record")
-    keys = {job: job_fingerprint(job) for job in dict.fromkeys(jobs)}
-    pending = [job for job, key in keys.items() if key not in done]
-    if journal is not None and len(pending) < len(keys):
-        log.info(
-            "audit journal: %d/%d jobs already audited, resuming",
-            len(keys) - len(pending), len(keys),
-        )
-    if pending:
-        # With a journal, evaluate in executor-sized waves and append
-        # each wave's outcomes as they land, so a killed sweep resumes
-        # from its last completed wave — not from zero.  Without one,
-        # a single executor call maximizes parallelism.
-        chunk = len(pending)
-        if journal is not None:
-            chunk = max(1, 2 * getattr(executor, "max_workers", 1))
-        for start in range(0, len(pending), chunk):
-            wave = pending[start:start + chunk]
-            outcomes = executor.run_jobs(wave, fn=execute_job_audited)
-            for job, outcome in zip(wave, outcomes):
-                done[keys[job]] = outcome
-                if journal is not None:
-                    append_jsonl(
-                        journal,
-                        {
-                            "schema": AUDIT_SCHEMA,
-                            "key": keys[job],
-                            "outcome": outcome.to_dict(),
-                        },
-                    )
-    return [done[keys[job]] for job in jobs]
+    return executor.run_jobs(list(jobs), fn=execute_job_audited)
 
 
 def audit_report(outcomes: Sequence[AuditOutcome]) -> dict:

@@ -59,7 +59,7 @@ class BatchError(RuntimeError):
 
 
 # --------------------------------------------------------------------
-# JSONL journal helpers (shared with harness/perf.py's resume journal)
+# JSONL journal helpers
 # --------------------------------------------------------------------
 
 def append_jsonl(path: Union[str, Path], record: dict) -> None:
@@ -73,8 +73,8 @@ def append_jsonl(path: Union[str, Path], record: dict) -> None:
     """
     path = Path(path)
     # O_CREAT does not create parent directories; without this, a
-    # journal path like results/perf.jsonl would lose the (expensive)
-    # work done before the very first append.
+    # journal under a not-yet-created directory would lose the
+    # (expensive) work done before the very first append.
     path.parent.mkdir(parents=True, exist_ok=True)
     line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
     data = line.encode("utf-8")

@@ -134,23 +134,6 @@ class PerfMeasurement:
             "speedup_vs_baseline": self.speedup_vs_baseline,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PerfMeasurement":
-        """Inverse of :meth:`to_dict` (derived fields are recomputed)."""
-        return cls(
-            case=data["case"],
-            platform=data["platform"],
-            workload=data["workload"],
-            mode=data["mode"],
-            events=data["events"],
-            instructions=data["instructions"],
-            wall_s=data["wall_s"],
-            events_per_sec=data["events_per_sec"],
-            repeats=data["repeats"],
-            peak_rss_bytes=data.get("peak_rss_bytes"),
-            trace_peak_bytes=data.get("trace_peak_bytes"),
-        )
-
 
 def peak_rss_bytes() -> Optional[int]:
     """The process's lifetime peak resident set, in bytes.
@@ -237,69 +220,11 @@ def measure_case(case: PerfCase, repeats: int = 3) -> PerfMeasurement:
     )
 
 
-def _case_digest(case: PerfCase) -> str:
-    """Digest of everything that defines a case's measured workload.
-
-    Journal records carry this so a resumed suite can never serve a
-    stale number for a case whose *definition* changed under the same
-    name.  It is exactly the result cache's ``job_fingerprint`` of the
-    job the case times — covering platform, the fully resolved workload
-    def, mode, sizing, *and* the resolved ``SystemConfig``, so retuning
-    a family's parameters or a Table I default invalidates journaled
-    numbers just like it invalidates cached results.
-    """
-    from repro.harness.cache import job_fingerprint
-
-    return job_fingerprint(
-        SimulationJob(case.platform, case.workload, case.mode, case.run_cfg)
-    )
-
-
 def run_suite(
-    cases: Sequence[PerfCase] = PERF_CASES,
-    repeats: int = 3,
-    journal: Optional[str] = None,
+    cases: Sequence[PerfCase] = PERF_CASES, repeats: int = 3
 ) -> List[PerfMeasurement]:
-    """Measure every case, optionally journaling each as it completes.
-
-    With ``journal`` set (a JSONL path, same append-only format as the
-    batch scheduler's shard journal), every finished case is recorded
-    immediately; a re-invocation with the same journal skips cases that
-    were already measured *with the same repeat count and the same case
-    definition* (see :func:`_case_digest`) and re-measures only the
-    rest — an interrupted perf suite resumes instead of restarting.
-    Timing methodology is unchanged: a resumed case's number is the one
-    measured when it originally ran.
-    """
-    if journal is None:
-        return [measure_case(case, repeats) for case in cases]
-    from repro.harness.batch import append_jsonl, read_jsonl
-
-    done: Dict[str, PerfMeasurement] = {}
-    digests: Dict[str, str] = {}
-    for rec in read_jsonl(journal):
-        try:
-            m = PerfMeasurement.from_dict(rec["measurement"])
-            digest = rec["case_digest"]
-        except (KeyError, TypeError):
-            continue
-        if m.repeats == repeats:
-            # Last record wins: a case re-measured after its definition
-            # changed must shadow the stale earlier record.
-            done[m.case] = m
-            digests[m.case] = digest
-    out: List[PerfMeasurement] = []
-    for case in cases:
-        digest = _case_digest(case)
-        if case.name in done and digests.get(case.name) == digest:
-            out.append(done[case.name])
-            continue
-        m = measure_case(case, repeats)
-        append_jsonl(
-            journal, {"case_digest": digest, "measurement": m.to_dict()}
-        )
-        out.append(m)
-    return out
+    """Measure every case, in order, in this process."""
+    return [measure_case(case, repeats) for case in cases]
 
 
 def git_revision(root: Optional[str] = None) -> Optional[str]:

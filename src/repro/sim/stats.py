@@ -115,16 +115,6 @@ class Histogram:
         self.bins: Dict[int, int] = defaultdict(int)
         self._count = 0
 
-    def bin_of(self, value: int) -> int:
-        """Start of the bin covering ``value`` (floor semantics).
-
-        Python's ``//`` floors toward negative infinity, which is
-        exactly the half-open-interval behaviour documented above; this
-        helper names that choice so callers never have to reason about
-        floor-division on negatives themselves.
-        """
-        return (int(value) // self.bin_width) * self.bin_width
-
     def record(self, value: int) -> None:
         self.bins[int(value) // self.bin_width] += 1
         self._count += 1

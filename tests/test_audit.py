@@ -8,8 +8,8 @@ Three angles:
   DRAM, XPoint, GPU conservation, tenant attribution, stray energy
   counters) is caught by the matching invariant, proving the audit is
   not vacuously green;
-* **harness** — the sweep's matrix builder, journal resume, outcome
-  serialization and CLI gate behave;
+* **harness** — the sweep's matrix builder, outcome rows and CLI gate
+  behave;
 * **catalogue** — DESIGN.md §10.1 lists exactly the invariants the
   auditor records (the ``tools/check_docs.py`` gate).
 """
@@ -402,7 +402,7 @@ class TestBankAccountingFix:
             s.dram.total_preset_activations for s in model.memory.slices
         )
         occupancies = sum(
-            s.dram.total_occupancies for s in model.memory.slices
+            b.occupancies for s in model.memory.slices for b in s.dram.banks
         )
         assert presets > 0 and occupancies > 0
 
@@ -462,7 +462,7 @@ class TestSweepHarness:
         with pytest.raises(KeyError):
             audit_jobs(workloads=("nope",))
 
-    def test_outcome_round_trip(self):
+    def test_outcome_row_flattens_violations(self):
         o = AuditOutcome(
             platform="Origin", workload="backp", mode="planar", checks=10,
             violations=(
@@ -470,7 +470,6 @@ class TestSweepHarness:
             ),
             fingerprint="f" * 64,
         )
-        assert AuditOutcome.from_dict(o.to_dict()) == o
         assert not o.ok
         row = o.to_row()
         assert row["violations"] == 1 and row["ok"] is False
@@ -487,70 +486,6 @@ class TestSweepHarness:
         assert report["ok"] is True
         assert report["violations"] == 0
         assert report["schema"] == AUDIT_SCHEMA
-
-    def test_journal_resume_skips_audited_jobs(self, tmp_path, monkeypatch):
-        journal = tmp_path / "audit.jsonl"
-        jobs = audit_jobs(
-            run_cfg=SMALL, platforms=("Oracle", "Origin"),
-            workloads=("backp",), modes=(MemoryMode.PLANAR,),
-        )
-        first = run_audit(jobs, journal=journal)
-        assert journal.exists()
-        lines = journal.read_text().strip().splitlines()
-        assert len(lines) == len(jobs)
-
-        # Second invocation must not simulate anything.
-        import repro.harness.audit as audit_mod
-
-        def boom(job):  # pragma: no cover - must never run
-            raise AssertionError("journaled job was re-simulated")
-
-        monkeypatch.setattr(audit_mod, "execute_job_audited", boom)
-        second = run_audit(jobs, journal=journal)
-        assert [o.to_dict() for o in second] == [o.to_dict() for o in first]
-
-    def test_journal_written_in_waves_survives_mid_sweep_death(
-        self, tmp_path, monkeypatch
-    ):
-        # A sweep killed partway must leave its completed waves in the
-        # journal so the re-invocation starts from there, not from zero.
-        import repro.harness.audit as audit_mod
-
-        journal = tmp_path / "audit.jsonl"
-        jobs = audit_jobs(
-            run_cfg=SMALL, platforms=("Oracle", "Origin"),
-            workloads=("backp", "pagerank"), modes=(MemoryMode.PLANAR,),
-        )
-        assert len(jobs) == 4
-        real = audit_mod.execute_job_audited
-        calls = []
-
-        def dies_on_third(job):
-            if len(calls) >= 2:
-                raise KeyboardInterrupt("sweep killed")
-            calls.append(job)
-            return real(job)
-
-        monkeypatch.setattr(audit_mod, "execute_job_audited", dies_on_third)
-        with pytest.raises(KeyboardInterrupt):
-            run_audit(jobs, journal=journal)
-        # SerialExecutor waves are 2 jobs wide: the first wave landed.
-        assert len(journal.read_text().strip().splitlines()) == 2
-
-        monkeypatch.setattr(audit_mod, "execute_job_audited", real)
-        outcomes = run_audit(jobs, journal=journal)
-        assert len(outcomes) == 4 and all(o.ok for o in outcomes)
-        assert len(journal.read_text().strip().splitlines()) == 4
-
-    def test_journal_tolerates_garbage(self, tmp_path):
-        journal = tmp_path / "audit.jsonl"
-        journal.write_text('{"schema": 999}\nnot json\n')
-        jobs = audit_jobs(
-            run_cfg=SMALL, platforms=("Oracle",), workloads=("backp",),
-            modes=(MemoryMode.PLANAR,),
-        )
-        outcomes = run_audit(jobs, journal=journal)
-        assert len(outcomes) == 1 and outcomes[0].ok
 
     def test_executor_fn_plumbing(self):
         jobs = audit_jobs(

@@ -93,6 +93,14 @@ class TestCommands:
         for m in payload["current"]:
             assert m["events_per_sec"] > 0
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_perf_repeats_must_be_positive(self, repeats, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "--smoke", "--repeats", repeats,
+                  "-o", str(tmp_path / "BENCH_perf.json")])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_experiment_fig15(self, capsys):
         assert main(["experiment", "fig15", "--quick"]) == 0
         assert "planar" in capsys.readouterr().out
@@ -276,6 +284,21 @@ class TestWorkloadsCommands:
         assert trace.exists()
         assert "fingerprint" in capsys.readouterr().out
 
+    def test_remap_negative_wrap_is_one_line(self, tmp_path, capsys):
+        # (a + offset) % wrap lies in (wrap, 0] for a negative wrap: the
+        # stage would emit addresses `run --stdin-trace` rejects.
+        trace = tmp_path / "t.jsonl"
+        assert main(
+            ["workloads", "record", "--platform", "Oracle",
+             "--workload", "backp", "--warps", "4", "--accesses", "4",
+             "-o", str(trace)]
+        ) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "remap", "--wrap", "-4096", str(trace)])
+        assert exc.value.code == "repro: --wrap must be >= 0"
+        assert capsys.readouterr().out == ""
+
     def test_replay_missing_trace_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(
@@ -458,3 +481,37 @@ class TestSizing:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         assert module.BENCH_RUN_CONFIG == SIZING_PRESETS["bench"]
+
+
+class TestReadmeTourFlags:
+    """``tools/check_docs.py``'s gate on the flags the README tour uses."""
+
+    @staticmethod
+    def check(readme=None):
+        import pathlib
+        import sys
+
+        repo = pathlib.Path(__file__).resolve().parent.parent
+        if str(repo) not in sys.path:
+            sys.path.insert(0, str(repo))
+        from tools.check_docs import check_cli_flag_docs
+
+        return check_cli_flag_docs(readme)
+
+    def test_tour_uses_only_live_flags(self):
+        assert self.check() == []
+
+    def test_removed_flag_fails(self):
+        assert self.check("$ repro audit --journal audit.jsonl  # resume\n") == [
+            "README CLI tour passes --journal to `repro audit`, "
+            "which has no such option"
+        ]
+
+    def test_each_pipeline_stage_is_checked(self):
+        readme = (
+            "$ repro trace head --ops 5 x.jsonl \\\n"
+            "    | repro run --platform Oracle --stdin-trace --ops 5\n"
+        )
+        failures = self.check(readme)
+        assert len(failures) == 1
+        assert "--ops to `repro run`" in failures[0]

@@ -163,7 +163,7 @@ class TestDevice:
         dev.activate_for_swap(4096, 0)  # preset: bank-only
         dev.occupy_bank(4096, 0, 500)
         assert dev.total_preset_activations == 1
-        assert dev.total_occupancies == 1
+        assert sum(b.occupancies for b in dev.banks) == 1
         counted = dev.stats.get(f"{dev.name}.activations")
         assert counted == dev.total_activations - dev.total_preset_activations
         for bank in dev.banks:
@@ -174,4 +174,4 @@ class TestDevice:
         dev.occupy_bank(0, 0, 1000)
         assert dev.total_accesses == 0
         assert dev.stats.get(f"{dev.name}.accesses") == 0
-        assert dev.total_occupancies == 1
+        assert sum(b.occupancies for b in dev.banks) == 1

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency check (CI, gating).
 
-Five invariants keep the documentation surface honest:
+Six invariants keep the documentation surface honest:
 
 1. every workload name registered at import time, and every trace
    family in ``FAMILIES`` (as a backquoted name), appears in
@@ -20,7 +20,11 @@ Five invariants keep the documentation surface honest:
 5. the DESIGN.md §10.1 invariant catalogue matches the auditor: every
    invariant id that ``src/repro/sim/`` records has a row, and every
    row names an id that ``src/repro`` records (read from the source
-   with ``ast``, so a new invariant without a row fails here).
+   with ``ast``, so a new invariant without a row fails here);
+6. every ``--flag`` on a ``$ repro ...`` line of the README CLI tour is
+   an option of that command path in the live argparse tree (each
+   stage of a ``|`` pipeline checked on its own), so a removed or
+   renamed flag cannot linger in the tour.
 
 Run locally::
 
@@ -70,23 +74,28 @@ def check_scenario_docs() -> list[str]:
     ]
 
 
-def _cli_commands() -> list[str]:
-    """Every ``repro ...`` command path in the live argparse tree."""
+def _subcommands(parser) -> dict:
+    """``{name: subparser}`` for one level of the argparse tree."""
     import argparse
 
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            out.update(action.choices)
+    return out
+
+
+def _cli_commands() -> list[str]:
+    """Every ``repro ...`` command path in the live argparse tree."""
     from repro.cli import build_parser
 
     def walk(parser, prefix):
-        sub_actions = [
-            a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)
-        ]
-        if not sub_actions:
+        children = _subcommands(parser)
+        if not children:
             return [" ".join(prefix)] if prefix else []
         out = []
-        for action in sub_actions:
-            for name, child in action.choices.items():
-                out.extend(walk(child, prefix + [name]))
+        for name, child in children.items():
+            out.extend(walk(child, prefix + [name]))
         return out
 
     return walk(build_parser(), [])
@@ -99,6 +108,55 @@ def check_cli_docs() -> list[str]:
         for cmd in _cli_commands()
         if f"repro {cmd}" not in readme
     ]
+
+
+def _tour_invocations(readme: str) -> list[list[str]]:
+    """The argv of every ``repro`` stage on a ``$ repro`` README line.
+
+    Backslash continuations are joined, ``#`` comments dropped, and a
+    ``|`` pipeline yields one argv per ``repro`` stage.
+    """
+    import shlex
+
+    out = []
+    for line in readme.replace("\\\n", " ").splitlines():
+        if not line.startswith("$ repro"):
+            continue
+        lexer = shlex.shlex(line[2:], posix=True, punctuation_chars="|")
+        lexer.whitespace_split = True
+        stage: list[str] = []
+        for token in [*lexer, "|"]:
+            if token != "|":
+                stage.append(token)
+                continue
+            if stage[:1] == ["repro"]:
+                out.append(stage)
+            stage = []
+    return out
+
+
+def check_cli_flag_docs(readme: str | None = None) -> list[str]:
+    """Every ``--flag`` the README tour passes to a ``repro`` command
+    path is an option of that path; ``readme`` replaces the README text."""
+    from repro.cli import build_parser
+
+    if readme is None:
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+    root = build_parser()
+    failures = []
+    for argv in _tour_invocations(readme):
+        parser, depth = root, 1
+        while depth < len(argv) and argv[depth] in _subcommands(parser):
+            parser = _subcommands(parser)[argv[depth]]
+            depth += 1
+        command = " ".join(argv[:depth])
+        failures += [
+            f"README CLI tour passes {flag} to `{command}`, "
+            "which has no such option"
+            for flag in (arg.split("=", 1)[0] for arg in argv[depth:])
+            if flag.startswith("--") and flag not in parser._option_string_actions
+        ]
+    return failures
 
 
 def check_lint_rule_docs() -> list[str]:
@@ -269,6 +327,7 @@ def main() -> int:
     failures += check_workload_docs()
     failures += check_scenario_docs()
     failures += check_cli_docs()
+    failures += check_cli_flag_docs()
     failures += check_lint_rule_docs()
     failures += check_invariant_catalogue()
     failures += check_examples_smoke()
@@ -279,8 +338,9 @@ def main() -> int:
         return 1
     print(
         "docs-consistency: all registered workloads and families documented, "
-        "all CLI commands in the README tour, all lint rules and audit "
-        "invariants in the DESIGN.md catalogues, all examples run"
+        "all CLI commands in the README tour with only live flags, all lint "
+        "rules and audit invariants in the DESIGN.md catalogues, all "
+        "examples run"
     )
     return 0
 
