@@ -64,6 +64,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -833,6 +834,8 @@ def cmd_trace_scale(args: argparse.Namespace) -> int:
     """
     factor = args.gaps
     repeat = args.repeat
+    if not 0.0 <= factor < math.inf:  # also false for NaN
+        raise SystemExit("repro: --gaps must be a finite number >= 0")
     if repeat < 1:
         raise SystemExit("repro: --repeat must be >= 1")
     if repeat > 1 and args.trace == "-":
@@ -1703,9 +1706,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A --validate run tripped a cross-layer conservation law;
         # surface every recorded violation, not a traceback.
         raise SystemExit(f"repro: invariant audit failed: {exc}")
-    except WorkloadSizingError as exc:
-        # Raised while building traces, possibly in a pool worker, so
-        # no per-command handler sees it.
+    except (WorkloadSizingError, TraceFormatError) as exc:
+        # Raised while building or streaming traces — a corrupt record
+        # deep in a trace file surfaces mid-drain, possibly in a pool
+        # worker — so no per-command handler sees it.
         raise SystemExit(f"repro: {exc}")
     except EnvSettingError as exc:
         # A usage error like a bad flag (exit 2), read where a job

@@ -151,14 +151,16 @@ def peak_rss_bytes() -> Optional[int]:
 def _trace_peak_bytes(case: PerfCase, cfg) -> Optional[int]:
     """Allocation peak of streaming the case's trace set, per tracemalloc.
 
-    Builds a fresh streamed source and consumes it block by block
-    without materializing — the number the constant-memory pipeline is
-    accountable for.  Tracemalloc slows allocation, so this runs
-    outside every timed region.
+    Builds a fresh streamed source and consumes it round-robin, keeping
+    every warp's latest block as the spill writer and the fused drain
+    do — the number the constant-memory pipeline is accountable for.
+    Tracemalloc slows allocation, so this runs outside every timed
+    region.
     """
     import tracemalloc
 
     from repro.workloads.registry import build_source
+    from repro.workloads.source import round_robin
 
     defn = get_workload_def(case.workload)
     if defn.family == "trace":
@@ -176,9 +178,9 @@ def _trace_peak_bytes(case: PerfCase, cfg) -> Optional[int]:
             page_bytes=cfg.hetero.page_bytes,
             seed=case.run_cfg.seed,
         )
-        for stream in source.streams():
-            while stream.next_block() is not None:
-                pass
+        held: dict = {}
+        for stream, block in round_robin(source.streams()):
+            held[stream.warp_id] = block
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

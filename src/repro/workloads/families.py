@@ -104,7 +104,7 @@ class TiledGemmGenerator:
         return range(start, start + self.tile_lines * self.line_bytes, self.line_bytes)
 
     def warp_blocks(
-        self, warp_global_id: int, num_accesses: int, block_ops: int = 2048
+        self, warp_global_id: int, num_accesses: int, block_ops: int
     ) -> Iterator[tuple]:
         """One warp's stream as ``(gaps, addrs, writes)`` native blocks.
 
@@ -232,7 +232,7 @@ class PointerChaseGenerator:
         return (node * 2_654_435_761 + 0x9E3779B9) % self.num_nodes
 
     def warp_blocks(
-        self, warp_global_id: int, num_accesses: int, block_ops: int = 2048
+        self, warp_global_id: int, num_accesses: int, block_ops: int
     ) -> Iterator[tuple]:
         """One warp's stream as ``(gaps, addrs, writes)`` native blocks.
 
@@ -326,7 +326,7 @@ class StreamingScanGenerator:
         self.region_lines = footprint_bytes // line_bytes // num_streams
 
     def warp_blocks(
-        self, warp_global_id: int, num_accesses: int, block_ops: int = 2048
+        self, warp_global_id: int, num_accesses: int, block_ops: int
     ) -> Iterator[tuple]:
         """One warp's stream as ``(gaps, addrs, writes)`` native blocks.
 

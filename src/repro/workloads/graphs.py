@@ -160,7 +160,7 @@ class GraphTraceGenerator:
         return self._page_scatter[pages] * self.page_bytes + offsets
 
     def warp_blocks(
-        self, warp_global_id: int, num_accesses: int, block_ops: int = 2048
+        self, warp_global_id: int, num_accesses: int, block_ops: int
     ) -> Iterator[tuple]:
         """One warp sweeps its share of the vertex range in order.
 

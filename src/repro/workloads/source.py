@@ -39,10 +39,14 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.workloads.synthetic import WarpTrace
 
-#: Default ops per block: small enough that a parked block is cheap
-#: (~50 KB of native ints), large enough that per-block overhead
-#: (validation sums, demux hops) amortizes to noise per op.
-DEFAULT_BLOCK_OPS = 2048
+#: Ops per generated or spilled block, the one block-size decision
+#: (generators take it as a required argument).  A decoded 128-op block
+#: is ~7 KB of native lists and consumers hold one per warp, so
+#: replaying a 288-warp spill peaks at ~2.4 MB whatever the trace
+#: length.  Smaller blocks trade memory for block advances: a streamed
+#: 288x1024 drain spends ~0.13 s of ~4 s in ``next_block`` (DESIGN.md
+#: section 12.2).
+DEFAULT_BLOCK_OPS = 128
 
 #: One contiguous slice of a warp's access stream: parallel native
 #: ``(gaps, addrs, writes)`` lists, directly indexable by the fused
@@ -176,6 +180,27 @@ class TraceSource:
             WarpStream(w, self.blocks(w), self.tenant_of(w))
             for w in range(self.num_warps)
         ]
+
+
+def round_robin(
+    streams: List[WarpStream],
+) -> Iterator[Tuple[WarpStream, Optional[Block]]]:
+    """Pull one block per live stream per round, in warp order.
+
+    Yields ``(stream, block)`` per block and ``(stream, None)`` once as
+    each stream ends.  This is the order the spill writer emits and the
+    fused drain roughly consumes in, so a caller that keeps each warp's
+    latest block holds what a drain holds: one block per warp.
+    """
+    live = streams
+    while live:
+        still = []
+        for stream in live:
+            block = stream.next_block()
+            yield stream, block
+            if block is not None:
+                still.append(stream)
+        live = still
 
 
 def chunk_columns(

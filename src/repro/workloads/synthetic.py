@@ -163,7 +163,7 @@ class SyntheticTraceGenerator:
         ]
 
     def warp_blocks(
-        self, warp_global_id: int, num_accesses: int, block_ops: int = 2048
+        self, warp_global_id: int, num_accesses: int, block_ops: int
     ) -> Iterator[tuple]:
         """One warp's stream as ``(gaps, addrs, writes)`` native blocks.
 

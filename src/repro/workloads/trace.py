@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Sequence, Union
 
-from repro.workloads.source import Block, TraceSource, WarpStream, materialize
+from repro.workloads.source import Block, TraceSource, WarpStream, materialize, round_robin
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthetic import WarpTrace
 
@@ -511,19 +511,11 @@ def save_stream(
         )
     with _open_for_write(path) as fh:
         writer = ChunkedTraceWriter(fh, meta)
-        live = source.streams()
-        while live:
-            still = []
-            for stream in live:
-                block = stream.next_block()
-                if block is None:
-                    writer.end_warp(stream.warp_id)
-                else:
-                    writer.write_block(
-                        stream.warp_id, *block, tenant=stream.tenant
-                    )
-                    still.append(stream)
-            live = still
+        for stream, block in round_robin(source.streams()):
+            if block is None:
+                writer.end_warp(stream.warp_id)
+            else:
+                writer.write_block(stream.warp_id, *block, tenant=stream.tenant)
         writer.finish()
     return path
 

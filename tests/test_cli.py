@@ -299,6 +299,50 @@ class TestWorkloadsCommands:
         assert exc.value.code == "repro: --wrap must be >= 0"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("gaps", ["nan", "inf", "-1"])
+    def test_scale_bad_gaps_is_one_line(self, gaps, tmp_path, capsys):
+        # int(nan * g) raises mid-stream; a negative factor clamps every
+        # gap to 0 without a word.
+        trace = tmp_path / "t.jsonl"
+        assert main(
+            ["workloads", "record", "--platform", "Oracle",
+             "--workload", "backp", "--warps", "4", "--accesses", "4",
+             "-o", str(trace)]
+        ) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "scale", f"--gaps={gaps}", str(trace)])
+        assert exc.value.code == "repro: --gaps must be a finite number >= 0"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("entry", ["workload", "stdin"])
+    def test_corrupt_trace_mid_file_is_one_line(
+        self, entry, tmp_path, capsys, monkeypatch
+    ):
+        # The header parses, so the bad record only surfaces mid-drain.
+        trace = tmp_path / "t.jsonl"
+        assert main(
+            ["workloads", "record", "--platform", "Ohm-BW",
+             "--workload", "pagerank", "--warps", "16", "--accesses", "64",
+             "-o", str(trace)]
+        ) == 0
+        capsys.readouterr()
+        data = trace.read_bytes()
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(data[: len(data) // 2])
+        argv = ["run", "--platform", "Ohm-BW"]
+        if entry == "workload":
+            argv += ["--workload", f"trace:{cut}"]
+            label = str(cut)
+        else:
+            argv += ["--stdin-trace"]
+            label = "<stdin>"
+        with cut.open() as stdin, pytest.raises(SystemExit) as exc:
+            monkeypatch.setattr("sys.stdin", stdin)
+            main(argv)
+        assert exc.value.code.startswith(f"repro: {label}: corrupt warp record")
+        assert capsys.readouterr().out == ""
+
     def test_replay_missing_trace_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(

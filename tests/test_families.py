@@ -27,7 +27,7 @@ from repro.workloads.registry import (
     get_workload_def,
     register_workload,
 )
-from repro.workloads.source import trace_from_blocks
+from repro.workloads.source import DEFAULT_BLOCK_OPS, trace_from_blocks
 from repro.workloads.spec import WorkloadSpec, make_def
 
 FOOTPRINT = 8 * MB
@@ -88,29 +88,30 @@ class TestFamilyGenerators:
     def test_gemm_reuses_lines(self):
         spec = get_workload_def("gemm_reuse").spec
         gen = TiledGemmGenerator(spec, FOOTPRINT, tile_lines=8, passes=3)
-        t = trace_from_blocks(gen.warp_blocks(0, 256))
+        t = trace_from_blocks(gen.warp_blocks(0, 256, DEFAULT_BLOCK_OPS))
         # passes=3 sweeps each input tile: strong temporal reuse.
         assert len(np.unique(t.addrs)) < len(t.addrs) / 2
 
     def test_stream_scan_has_no_reuse(self):
         spec = get_workload_def("stream_scan").spec
         gen = StreamingScanGenerator(spec, FOOTPRINT)
-        t = trace_from_blocks(gen.warp_blocks(0, 200))
+        t = trace_from_blocks(gen.warp_blocks(0, 200, DEFAULT_BLOCK_OPS))
         assert len(np.unique(t.addrs)) == len(t.addrs)
 
     @pytest.mark.parametrize("rf", (0.0, 0.5, 1.0))
     def test_stream_read_fraction_tracked(self, rf):
         spec = get_workload_def("stream_scan").spec
         gen = StreamingScanGenerator(spec, FOOTPRINT, read_fraction=rf)
-        writes = np.concatenate(
-            [trace_from_blocks(gen.warp_blocks(w, 400)).writes for w in range(4)]
-        )
+        writes = np.concatenate([
+            trace_from_blocks(gen.warp_blocks(w, 400, DEFAULT_BLOCK_OPS)).writes
+            for w in range(4)
+        ])
         assert writes.mean() == pytest.approx(1.0 - rf, abs=0.06)
 
     def test_pointer_chase_is_irregular(self):
         spec = get_workload_def("pointer_chase").spec
         gen = PointerChaseGenerator(spec, FOOTPRINT, frontier_fraction=0.0)
-        t = trace_from_blocks(gen.warp_blocks(0, 300))
+        t = trace_from_blocks(gen.warp_blocks(0, 300, DEFAULT_BLOCK_OPS))
         # Dependent chasing: successive deltas are all over the arena.
         deltas = np.abs(np.diff(t.addrs))
         assert np.median(deltas) > 64 * 128  # far beyond any stride run

@@ -454,6 +454,53 @@ def test_streaming_peak_allocation_below_materialized():
     )
 
 
+def test_replay_peak_allocation_independent_of_trace_length(tmp_path):
+    """A spilled trace replayed the way the fused drain consumes it —
+    round-robin, every warp holding its current block — peaks at about
+    the same allocation for 4096 accesses per warp as for 256: the
+    O(warps x block) bound, not O(trace).  Draining one warp at a time
+    (as the test above does) never holds every warp's block at once,
+    so it cannot see a block size that grows with the trace."""
+    import tracemalloc
+
+    defn = get_workload_def("stream_scan")
+    cfg = default_config()
+
+    def replay_peak(accesses):
+        path = tmp_path / f"spill-{accesses}.jsonl"
+        source = build_source(
+            defn,
+            defn.spec.scaled_footprint(cfg.scale_down),
+            num_warps=32,
+            accesses_per_warp=accesses,
+            line_bytes=cfg.gpu.line_bytes,
+            page_bytes=cfg.hetero.page_bytes,
+            seed=7,
+        )
+        save_stream(path, _meta(32, "stream_scan"), source)
+        tracemalloc.start()
+        try:
+            held = {}
+            live = FileTraceSource(path).streams()
+            while live:
+                still = []
+                for stream in live:
+                    block = stream.next_block()
+                    held[stream.warp_id] = block
+                    if block is not None:
+                        still.append(stream)
+                live = still
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    short, long = replay_peak(256), replay_peak(4096)
+    assert long < 1.5 * short, (
+        f"replay peak {long} B at 4096 accesses/warp vs {short} B at 256"
+    )
+
+
 def test_filtered_trace_validates_cleanly(tmp_path):
     """v2-declared empty warps (filter output) pass strict validation;
     generated empty streams still flag a problem."""

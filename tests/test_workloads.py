@@ -13,7 +13,7 @@ from repro.workloads.registry import (
     get_workload_def,
     make_generator,
 )
-from repro.workloads.source import trace_from_blocks
+from repro.workloads.source import DEFAULT_BLOCK_OPS, trace_from_blocks
 from repro.workloads.spec import TABLE2, WorkloadSpec
 from repro.workloads.synthetic import (
     SyntheticTraceGenerator,
@@ -32,7 +32,7 @@ def spec_of(name):
 
 def warp_trace(gen, warp, accesses):
     """One warp's trace, concatenated from the generator's blocks."""
-    return trace_from_blocks(gen.warp_blocks(warp, accesses))
+    return trace_from_blocks(gen.warp_blocks(warp, accesses, DEFAULT_BLOCK_OPS))
 
 
 class TestTable2:
