@@ -8,6 +8,7 @@ figure is built from.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
@@ -105,7 +106,20 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
-        """Inverse of :meth:`to_dict` (stable round-trip)."""
+        """Inverse of :meth:`to_dict` (stable round-trip).
+
+        The one way a result enters a process from outside it: cache
+        and store files, batch shards and, through :meth:`__reduce__`,
+        pool workers.  Counter names go through :func:`sys.intern`, so
+        every decoded result shares one copy of each name instead of
+        holding its own (about 9 KB of a 14 KB result).  Counters that
+        are not a JSON object raise :class:`TypeError`.
+        """
+        counters = data["counters"]
+        if not isinstance(counters, dict):
+            raise TypeError(
+                f"counters must be a JSON object, not {type(counters).__name__}"
+            )
         return cls(
             platform=data["platform"],
             workload=data["workload"],
@@ -114,8 +128,12 @@ class RunResult:
             exec_time_ps=data["exec_time_ps"],
             demand_requests=data["demand_requests"],
             mean_mem_latency_ps=data["mean_mem_latency_ps"],
-            counters=dict(data["counters"]),
+            counters={sys.intern(k): v for k, v in counters.items()},
         )
+
+    def __reduce__(self):
+        # Unpickling (a pool worker's result) decodes through from_dict.
+        return (RunResult.from_dict, (self.to_dict(),))
 
 
 class GpuModel:  # reprolint: allow(R2) once-per-run orchestrator, never allocated per event; audit/recorder seams attach run-scoped state

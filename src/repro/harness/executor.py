@@ -24,6 +24,7 @@ import os
 import shutil
 import tempfile
 import threading
+from collections import Counter
 from concurrent import futures
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -189,7 +190,8 @@ class SimulationJob:
 # (workload, footprint, sizing, geometry, seed), and a matrix reuses the
 # same traces across its seven platforms, so each process keeps them.
 # Bounded FIFO so sizing sweeps in one long session can't accumulate
-# every trace set ever generated.
+# every trace set ever generated.  A pool worker drops a set as soon as
+# the task holding its whole group finishes (see ``_run_task``).
 _TRACE_MEMO: Dict[Tuple, List[WarpTrace]] = {}
 _TRACE_MEMO_MAX = 64
 
@@ -267,6 +269,11 @@ def _trace_key(job: SimulationJob, cfg: SystemConfig) -> Tuple:
         cfg.hetero.page_bytes,
         job.run_cfg.seed,
     )
+
+
+def _job_trace_key(job: SimulationJob) -> Tuple:
+    """:func:`_trace_key` under the config ``job`` simulates with."""
+    return _trace_key(job, job.resolved_config())
 
 
 def traces_for(job: SimulationJob, cfg: SystemConfig) -> List[WarpTrace]:
@@ -467,9 +474,17 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_task(fn, jobs: Sequence[SimulationJob]) -> List:
-    """One pool task: ``fn`` over ``jobs``, in order, in one worker."""
-    return [fn(job) for job in jobs]
+def _run_task(fn, jobs: Sequence[SimulationJob], release: bool) -> List:
+    """One pool task: ``fn`` over ``jobs``, in order, in one worker.
+
+    ``release`` says the task holds every job of its trace set in this
+    pool, so no later task in the worker reads the set again: it leaves
+    the worker's memo once the task is done.
+    """
+    out = [fn(job) for job in jobs]
+    if release:
+        _TRACE_MEMO.pop(_job_trace_key(jobs[0]), None)
+    return out
 
 
 def _fork_context():
@@ -516,8 +531,7 @@ class ParallelExecutor:
             return [(job,) for job in unique]
         groups: Dict[Tuple, List[SimulationJob]] = {}
         for job in unique:
-            key = _trace_key(job, job.resolved_config())
-            groups.setdefault(key, []).append(job)
+            groups.setdefault(_job_trace_key(job), []).append(job)
         if len(groups) < min(self.max_workers, len(unique)):
             return [(job,) for job in unique]
         return [tuple(group) for group in groups.values()]
@@ -549,6 +563,11 @@ class ParallelExecutor:
         ):
             return SerialExecutor().run_jobs(jobs, fn, on_result)
         tasks = self.plan(unique, per_job=on_result is not None)
+        # A grouped plan gives each trace set one task; a per-job plan
+        # may send several tasks of one set to the same worker, so those
+        # keep the set in the worker's memo.
+        keys = [_job_trace_key(task[0]) for task in tasks]
+        sets = Counter(keys)
         _spill_dir()
         # Load numpy here, before the fork, so the workers share the
         # parent's copy; loading it in each worker after the fork costs
@@ -559,7 +578,10 @@ class ParallelExecutor:
             max_workers=min(self.max_workers, len(tasks)),
             mp_context=_fork_context(),
         ) as pool:
-            futs = {pool.submit(_run_task, fn, task): task for task in tasks}
+            futs = {
+                pool.submit(_run_task, fn, task, sets[key] == 1): task
+                for task, key in zip(tasks, keys)
+            }
             for fut in futures.as_completed(futs):
                 for job, result in zip(futs[fut], fut.result()):
                     results[job] = result

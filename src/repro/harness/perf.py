@@ -11,7 +11,8 @@ Methodology: traces are generated (and memoized) and the model is
 constructed before the clock starts, so a measurement covers the event
 loop only; each case reports the best of ``repeats`` runs (events/sec
 is noise-sensitive and the best run is the closest estimate of the
-machine's capability).
+machine's capability).  Each case runs alone in a fresh child process,
+so its peak resident set is its own.
 Events/sec is deterministic work over wall time — the event *count* for
 a case never varies, only the clock.
 """
@@ -86,9 +87,10 @@ BASELINE_EVENTS_PER_SEC: Dict[str, float] = {
 class PerfMeasurement:
     """Best-of-N timing of one case on this machine.
 
-    ``peak_rss_bytes`` is the process's high-water resident set after
-    the case ran (monotone across cases — it can only report the max so
-    far) and ``trace_peak_bytes`` is the tracemalloc allocation peak of
+    ``peak_rss_bytes`` is the high-water resident set of a fresh child
+    process that ran only this case (interpreter and imports included),
+    so no case carries an earlier one's memory, and
+    ``trace_peak_bytes`` is the tracemalloc allocation peak of
     regenerating the case's trace set through the *streaming* pipeline
     (memo-bypassing, so it tracks what the pipeline actually costs, not
     what the memo already holds).  Both are ``None`` on platforms or
@@ -136,11 +138,21 @@ class PerfMeasurement:
 
 
 def peak_rss_bytes() -> Optional[int]:
-    """The process's lifetime peak resident set, in bytes.
+    """This process's own peak resident set, in bytes.
 
-    ``ru_maxrss`` is kilobytes on Linux; platforms without the
-    ``resource`` module (Windows) report ``None``.
+    Linux reports ``VmHWM``: a process started by fork and exec, as a
+    spawn-context worker is, inherits its parent's ``ru_maxrss`` across
+    the exec, but its ``VmHWM`` starts afresh.  Elsewhere this falls
+    back to ``ru_maxrss`` (kilobytes on Linux), and platforms without
+    the ``resource`` module (Windows) report ``None``.
     """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
@@ -188,9 +200,24 @@ def _trace_peak_bytes(case: PerfCase, cfg) -> Optional[int]:
 
 
 def measure_case(case: PerfCase, repeats: int = 3) -> PerfMeasurement:
-    """Time one case; returns the best (fastest) of ``repeats`` runs."""
+    """Time one case; returns the best (fastest) of ``repeats`` runs.
+
+    The case runs alone in a fresh child (a one-worker spawn-context
+    pool), so its ``peak_rss_bytes`` is its own.
+    """
     if repeats < 1:
         raise ValueError("need at least one repeat")
+    import multiprocessing
+    from concurrent import futures
+
+    with futures.ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        return pool.submit(_measure_here, case, repeats).result()
+
+
+def _measure_here(case: PerfCase, repeats: int) -> PerfMeasurement:
+    """:func:`measure_case`'s body, in the calling process."""
     job = SimulationJob(case.platform, case.workload, case.mode, case.run_cfg)
     cfg = job.resolved_config()
     spec = get_workload_def(case.workload).spec

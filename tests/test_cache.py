@@ -3,6 +3,7 @@ and the shared-directory concurrency stress test."""
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -79,6 +80,78 @@ class TestSerialization:
     def test_run_config_round_trip(self):
         assert RunConfig.from_dict(TINY.to_dict()) == TINY
 
+    def test_pickle_round_trip_decodes_through_from_dict(self, monkeypatch):
+        result = execute_job(tiny_job())
+        pickled = pickle.dumps(result)
+        calls = []
+        decode = RunResult.from_dict
+
+        def spy(data):
+            calls.append(data)
+            return decode(data)
+
+        monkeypatch.setattr(RunResult, "from_dict", spy)
+        back = pickle.loads(pickled)
+        assert len(calls) == 1
+        assert back == result
+        assert back.fingerprint() == result.fingerprint()
+        other = decode(json.loads(json.dumps(result.to_dict())))
+        assert _same_key_objects(back, other) == len(result.counters)
+
+
+def _same_key_objects(a: RunResult, b: RunResult) -> int:
+    """How many counter names ``a`` and ``b`` share; asserts each shared
+    name is one object in both."""
+    names = {name: name for name in b.counters}
+    shared = [name for name in a.counters if name in names]
+    assert all(names[name] is name for name in shared)
+    return len(shared)
+
+
+class TestDecodedNamesAreShared:
+    def test_results_from_different_files_share_names(self, tmp_path):
+        jobs = [tiny_job(), tiny_job(workload="pagerank")]
+        ResultCache(tmp_path).put(jobs[0], execute_job(jobs[0]))
+        ResultCache(tmp_path).put(jobs[1], execute_job(jobs[1]))
+        cache = ResultCache(tmp_path)
+        a, b = (cache.get(job) for job in jobs)
+        assert cache.hits == 2
+        assert _same_key_objects(a, b) > len(a.counters) // 2
+
+    def test_decoded_results_retain_less_than_plain_decode(self, tmp_path):
+        """200 decoded results of one shape keep one copy of each name,
+        so they retain well under what a plain ``json.loads`` plus
+        ``dict(...)`` decode of the same files keeps."""
+        import gc
+        import tracemalloc
+
+        job = tiny_job()
+        payload = json.dumps({"result": execute_job(job).to_dict()})
+        paths = [tmp_path / f"{i}.json" for i in range(200)]
+        for path in paths:
+            path.write_text(payload)
+
+        def decoded(path):
+            return RunResult.from_dict(json.loads(path.read_text())["result"])
+
+        def plain(path):
+            data = json.loads(path.read_text())["result"]
+            return RunResult(**dict(data, counters=dict(data["counters"])))
+
+        def retained(decode):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                kept = [decode(path) for path in paths]
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(kept) == len(paths)
+            return size
+
+        shared, unshared = retained(decoded), retained(plain)
+        assert shared < 0.6 * unshared, (shared, unshared)
+
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
@@ -115,6 +188,18 @@ class TestResultCache:
         cache.put(job, execute_job(job))
         cache.path_for(job).write_text("{not json")
         assert cache.get(job) is None
+
+    @pytest.mark.parametrize("counters", ["ab", [["k", 1]]], ids=["string", "pairs"])
+    def test_counters_not_an_object_is_a_miss(self, tmp_path, counters):
+        cache = ResultCache(tmp_path)
+        job = tiny_job()
+        cache.put(job, execute_job(job))
+        path = cache.path_for(job)
+        data = json.loads(path.read_text())
+        data["result"]["counters"] = counters
+        path.write_text(json.dumps(data))
+        assert cache.get(job) is None
+        assert cache.misses == 1 and cache.hits == 0
 
     def test_len_counts_entries(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,39 @@ class TestPlan:
         )
         assert sorted(seen, key=jobs.index) == jobs
         assert results[0] == results[-1]
+
+
+class _OneWorkerInProcess(ThreadPoolExecutor):
+    """Stands in for the process pool: one worker thread that shares
+    this process's trace memo, so a test can read what a worker keeps."""
+
+    def __init__(self, max_workers=None, mp_context=None):
+        super().__init__(max_workers=1)
+
+
+class TestWorkerMemo:
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "_TRACE_MEMO", {})
+        monkeypatch.setattr(
+            executor_mod.futures, "ProcessPoolExecutor", _OneWorkerInProcess
+        )
+        return executor_mod._TRACE_MEMO
+
+    def test_grouped_task_drops_its_trace_set(self, memo):
+        jobs = _jobs(["backp", "pagerank"])
+        executor = ParallelExecutor(2)
+        assert len(executor.plan(jobs)) == 2  # one task per trace set
+        executor.run_jobs(jobs)
+        assert memo == {}
+
+    def test_per_job_tasks_keep_a_shared_trace_set(self, memo):
+        jobs = _jobs(["backp", "pagerank"])
+        executor = ParallelExecutor(4)
+        assert len(executor.plan(jobs)) == 4  # one task per job
+        executor.run_jobs(jobs)
+        keys = {executor_mod._trace_key(job, job.resolved_config()) for job in jobs}
+        assert set(memo) == keys
 
 
 class TestFallbacks:

@@ -96,6 +96,16 @@ class TestIndex:
         assert len(store.entries()) == len(jobs)
         assert store.skipped == 1
 
+    @pytest.mark.parametrize("counters", ["ab", [["k", 1]]], ids=["string", "pairs"])
+    def test_counters_not_an_object_skipped(self, populated, counters):
+        cache_dir, jobs = populated
+        payload = {"schema": SCHEMA_VERSION, "job": jobs[0].to_dict(),
+                   "result": dict(fab_result(jobs[0]).to_dict(), counters=counters)}
+        (cache_dir / ("deadbeef" * 8 + ".json")).write_text(json.dumps(payload))
+        store = ResultStore(cache_dir)
+        assert len(store.entries()) == len(jobs)
+        assert store.skipped == 1
+
     def test_non_fingerprint_files_ignored(self, populated):
         # The store only owns fingerprint-named files: anything else in
         # a (possibly misdirected) directory is invisible to it.
