@@ -40,29 +40,6 @@ DEVICE_DRAM = 0  # demux target ids on the virtual channel
 DEVICE_XPOINT = 1
 
 
-def _dram_constant_pack(dram: DramDevice) -> Optional[tuple]:
-    """``dram._fp`` extended with the counter dict and key strings.
-
-    The slice fast serves inline the whole :meth:`DramDevice.access`
-    body (same arithmetic, same counter-update order) against this
-    pack.  ``None`` unless ``dram`` is a pristine device — exact type,
-    no instance override shadowing ``access`` — in which case the
-    caller must keep the reference ``serve`` so a patched device sees
-    every access.
-    """
-    if type(dram) is not DramDevice or "access" in dram.__dict__:
-        return None
-    return dram._fp + (
-        dram._cdict,
-        dram._k_refresh_stalls,
-        dram._k_accesses,
-        dram._k_writes,
-        dram._k_reads,
-        dram._k_row_hits,
-        dram._k_activations,
-    )
-
-
 class SliceBase:
     """Shared plumbing: channel helpers and DRAM streaming occupancy.
 
@@ -297,47 +274,24 @@ class OriginSlice(DramOnlySlice):
             self._resident,
             dram.access,
         )
-        self._fp_dram = _dram_constant_pack(dram)
-        if self._fp_dram is None:
-            self.__dict__.pop("serve", None)
-        # Deferred integer counter accumulators for the fast serve
-        # (electrical demand pairs are constant-duration, so a pair
-        # count alone reconstructs bits/busy/route/transfers exactly):
-        # [unused, pair_count, dram rd_hit, rd_act, wr_hit, wr_act].
-        self._dc = [0, 0, 0, 0, 0, 0]
+        # Deferred demand-pair count of the fast serve (electrical
+        # demand pairs are constant-duration, so the count alone
+        # reconstructs bits/busy/route/transfers exactly).
+        self._dc = [0]
         stats.register_flush(self._flush_deferred)
 
     def _flush_deferred(self) -> None:
         """Fold the fast serve's batched counts into the counters."""
         dc = self._dc
-        _, npairs, rd_hit, rd_act, wr_hit, wr_act = dc
+        npairs = dc[0]
         if npairs:
-            dc[1] = 0
+            dc[0] = 0
             counters = self._cdict
             dpair = self._cmd_dur + self._line_dur
             counters[self._ch_k_demand_bits] += npairs * (CMD_BITS + self.line_bits)
             counters[self._ch_k_demand_busy] += npairs * dpair
             counters[self._ch_k_route_data] += npairs * dpair
             counters[self._ch_k_transfers] += 2 * npairs
-        if rd_hit or rd_act or wr_hit or wr_act:
-            dc[2] = dc[3] = dc[4] = dc[5] = 0
-            fpd = self._fp_dram
-            dcd = fpd[16]
-            # Guards keep never-incremented keys out of the shared
-            # defaultdict (adding 0 would materialize them at 0.0).
-            dcd[fpd[18]] += rd_hit + rd_act + wr_hit + wr_act  # accesses
-            reads = rd_hit + rd_act
-            if reads:
-                dcd[fpd[20]] += reads
-            writes = wr_hit + wr_act
-            if writes:
-                dcd[fpd[19]] += writes
-            row_hits = rd_hit + wr_hit
-            if row_hits:
-                dcd[fpd[21]] += row_hits
-            activations = rd_act + wr_act
-            if activations:
-                dcd[fpd[22]] += activations
 
     def serve(self, addr: int, is_write: bool, now_ps: int) -> int:
         page = addr // self.page_bytes
@@ -371,12 +325,6 @@ class OriginSlice(DramOnlySlice):
             cmd_dur, line_dur, dpair, cmd_e, line_e, bits_pair,
         ) = self._fp_chan
         page_bytes, num_frames, resident, dram_access = self._fp_mem
-        (
-            d_refresh, d_rint, d_rwin, d_cap, d_rowb, d_nbanks,
-            d_rpb, d_banks, D_ACTIVE, D_IDLE,
-            d_hlat, d_hocc, d_clat, d_cocc, d_xlat, d_xocc,
-            dcd, dk_ref, dk_acc, dk_wr, dk_rd, dk_hit, dk_act,
-        ) = self._fp_dram
         dc = self._dc
         page = addr // page_bytes
         ready = now_ps
@@ -403,77 +351,15 @@ class OriginSlice(DramOnlySlice):
             # happens once it lands.
             end = t + line_dur
             ch._busy = end
-            dc[1] += 1
+            dc[0] += 1
             counters[k_e] += cmd_e
             counters[k_e] += line_e
-            # DramDevice.access, inlined (write; the address is
-            # non-negative — serve is reached through the SM's demand
-            # path which rejects negative addresses).
-            if d_refresh:
-                roff = end % d_rint
-                if roff < d_rwin:
-                    dcd[dk_ref] += 1
-                    end += d_rwin - roff
-            row_index = (addr % d_cap) // d_rowb
-            bank = d_banks[row_index % d_nbanks]
-            row = (row_index // d_nbanks) % d_rpb
-            b_busy = bank.busy_until_ps
-            s = end if end > b_busy else b_busy
-            if bank.state is D_ACTIVE and bank.open_row == row:
-                bank.row_hits += 1
-                bank.accesses += 1
-                bank.busy_until_ps = s + d_hocc
-                dc[4] += 1
-                return s + d_hlat
-            if bank.state is D_IDLE:
-                d_lat = d_clat
-                d_occ = d_cocc
-            else:
-                d_lat = d_xlat
-                d_occ = d_xocc
-            bank.activations += 1
-            bank.accesses += 1
-            bank.state = D_ACTIVE
-            bank.open_row = row
-            bank.busy_until_ps = s + d_occ
-            dc[5] += 1
-            return s + d_lat
-        # DramDevice.access, inlined (read).
-        rt = t
-        if d_refresh:
-            roff = rt % d_rint
-            if roff < d_rwin:
-                dcd[dk_ref] += 1
-                rt += d_rwin - roff
-        row_index = (addr % d_cap) // d_rowb
-        bank = d_banks[row_index % d_nbanks]
-        row = (row_index // d_nbanks) % d_rpb
-        b_busy = bank.busy_until_ps
-        s = rt if rt > b_busy else b_busy
-        if bank.state is D_ACTIVE and bank.open_row == row:
-            bank.row_hits += 1
-            bank.accesses += 1
-            bank.busy_until_ps = s + d_hocc
-            dc[2] += 1
-            t2 = s + d_hlat
-        else:
-            if bank.state is D_IDLE:
-                d_lat = d_clat
-                d_occ = d_cocc
-            else:
-                d_lat = d_xlat
-                d_occ = d_xocc
-            bank.activations += 1
-            bank.accesses += 1
-            bank.state = D_ACTIVE
-            bank.open_row = row
-            bank.busy_until_ps = s + d_occ
-            dc[3] += 1
-            t2 = s + d_lat
+            return dram_access(addr, True, end)
+        t2 = dram_access(addr, False, t)
         start = t2 if t2 > t else t
         end = start + line_dur
         ch._busy = end
-        dc[1] += 1
+        dc[0] += 1
         counters[k_e] += cmd_e
         counters[k_e] += line_e
         return end
@@ -568,20 +454,17 @@ class PlanarSlice(HeteroSliceBase):
             self.xp.write,
             self.hotness,
         )
-        self._fp_dram = _dram_constant_pack(dram)
-        if self._fp_dram is None:
-            self.__dict__.pop("serve", None)
         # Deferred integer counter accumulators for the fast serve:
-        # [pair_dur_sum, pair_count, dram rd_hit, rd_act, wr_hit,
-        # wr_act].  Folded into the shared counters on demand — exact
-        # for integer-valued accumulators (see Stats.register_flush).
-        self._dc = [0, 0, 0, 0, 0, 0]
+        # [pair_dur_sum, pair_count].  Folded into the shared counters
+        # on demand — exact for integer-valued accumulators (see
+        # Stats.register_flush).
+        self._dc = [0, 0]
         stats.register_flush(self._flush_deferred)
 
     def _flush_deferred(self) -> None:
         """Fold the fast serve's batched counts into the counters."""
         dc = self._dc
-        pair_dur, npairs, rd_hit, rd_act, wr_hit, wr_act = dc
+        pair_dur, npairs = dc
         if npairs:
             dc[0] = dc[1] = 0
             counters = self._cdict
@@ -589,25 +472,6 @@ class PlanarSlice(HeteroSliceBase):
             counters[self._ch_k_demand_bits] += npairs * (CMD_BITS + self.line_bits)
             counters[self._ch_k_demand_busy] += pair_dur
             counters[self._ch_k_transfers] += 2 * npairs
-        if rd_hit or rd_act or wr_hit or wr_act:
-            dc[2] = dc[3] = dc[4] = dc[5] = 0
-            fpd = self._fp_dram
-            dcd = fpd[16]
-            # Guards keep never-incremented keys out of the shared
-            # defaultdict (adding 0 would materialize them at 0.0).
-            dcd[fpd[18]] += rd_hit + rd_act + wr_hit + wr_act  # accesses
-            reads = rd_hit + rd_act
-            if reads:
-                dcd[fpd[20]] += reads
-            writes = wr_hit + wr_act
-            if writes:
-                dcd[fpd[19]] += writes
-            row_hits = rd_hit + wr_hit
-            if row_hits:
-                dcd[fpd[21]] += row_hits
-            activations = rd_act + wr_act
-            if activations:
-                dcd[fpd[22]] += activations
 
     def serve(self, addr: int, is_write: bool, now_ps: int) -> int:
         page, offset = divmod(addr, self.page_bytes)
@@ -688,12 +552,6 @@ class PlanarSlice(HeteroSliceBase):
             start = now_ps
         wau = ch._wom_active_until if wom else 0
         if dram_slot[group] == slot:
-            (
-                d_refresh, d_rint, d_rwin, d_cap, d_rowb, d_nbanks,
-                d_rpb, d_banks, D_ACTIVE, D_IDLE,
-                d_hlat, d_hocc, d_clat, d_cocc, d_xlat, d_xocc,
-                dcd, dk_ref, dk_acc, dk_wr, dk_rd, dk_hit, dk_act,
-            ) = self._fp_dram
             if ch._dev_data != DEVICE_DRAM:
                 start += FULL_TUNE_PS
                 ch._dev_data = DEVICE_DRAM
@@ -712,70 +570,8 @@ class PlanarSlice(HeteroSliceBase):
                 counters[k_e] += line_e
                 counters[k_mrr] += cmd_mrr
                 counters[k_mrr] += line_mrr
-                # DramDevice.access, inlined (write; the address is
-                # non-negative by construction so the reference body's
-                # sign check is elided).
-                if d_refresh:
-                    roff = end % d_rint
-                    if roff < d_rwin:
-                        dcd[dk_ref] += 1
-                        end += d_rwin - roff
-                row_index = (dram_addr % d_cap) // d_rowb
-                bank = d_banks[row_index % d_nbanks]
-                row = (row_index // d_nbanks) % d_rpb
-                b_busy = bank.busy_until_ps
-                s = end if end > b_busy else b_busy
-                if bank.state is D_ACTIVE and bank.open_row == row:
-                    bank.row_hits += 1
-                    bank.accesses += 1
-                    bank.busy_until_ps = s + d_hocc
-                    dc[4] += 1  # write row-hit, batched
-                    return s + d_hlat
-                if bank.state is D_IDLE:
-                    d_lat = d_clat
-                    d_occ = d_cocc
-                else:
-                    d_lat = d_xlat
-                    d_occ = d_xocc
-                bank.activations += 1
-                bank.accesses += 1
-                bank.state = D_ACTIVE
-                bank.open_row = row
-                bank.busy_until_ps = s + d_occ
-                dc[5] += 1  # write activation, batched
-                return s + d_lat
-            # DramDevice.access, inlined (read).
-            rt = t
-            if d_refresh:
-                roff = rt % d_rint
-                if roff < d_rwin:
-                    dcd[dk_ref] += 1
-                    rt += d_rwin - roff
-            row_index = (dram_addr % d_cap) // d_rowb
-            bank = d_banks[row_index % d_nbanks]
-            row = (row_index // d_nbanks) % d_rpb
-            b_busy = bank.busy_until_ps
-            s = rt if rt > b_busy else b_busy
-            if bank.state is D_ACTIVE and bank.open_row == row:
-                bank.row_hits += 1
-                bank.accesses += 1
-                bank.busy_until_ps = s + d_hocc
-                dc[2] += 1  # read row-hit, batched
-                t2 = s + d_hlat
-            else:
-                if bank.state is D_IDLE:
-                    d_lat = d_clat
-                    d_occ = d_cocc
-                else:
-                    d_lat = d_xlat
-                    d_occ = d_xocc
-                bank.activations += 1
-                bank.accesses += 1
-                bank.state = D_ACTIVE
-                bank.open_row = row
-                bank.busy_until_ps = s + d_occ
-                dc[3] += 1  # read activation, batched
-                t2 = s + d_lat
+                return dram_access(dram_addr, True, end)
+            t2 = dram_access(dram_addr, False, t)
             start = t if t2 < t else t2
             dur2 = line_dur_wom if wom and start < wau else line_dur
             end = start + dur2
@@ -943,24 +739,20 @@ class TwoLevelSlice(HeteroSliceBase):
             # capabilities route misses through the reference _miss.
             not (caps.auto_rw or caps.reverse_write),
         )
-        self._fp_dram = _dram_constant_pack(dram)
-        if self._fp_dram is None:
-            self.__dict__.pop("serve", None)
         self._k_mig_bits = mig_keys[0]
         self._k_mig_busy = mig_keys[1]
         # Deferred integer counter accumulators for the fast serve:
         # [demand pair duration sum, demand pair count,
-        #  dram rd_hit, rd_act, wr_hit, wr_act,
         #  migration window duration sum, migration window count].
-        self._dc = [0, 0, 0, 0, 0, 0, 0, 0]
+        self._dc = [0, 0, 0, 0]
         stats.register_flush(self._flush_deferred)
 
     def _flush_deferred(self) -> None:
         """Fold the fast serve's batched counts into the counters."""
         dc = self._dc
-        pair_dur, npairs, rd_hit, rd_act, wr_hit, wr_act, mig_dur, nmig = dc
+        pair_dur, npairs, mig_dur, nmig = dc
         if npairs or nmig:
-            dc[0] = dc[1] = dc[6] = dc[7] = 0
+            dc[0] = dc[1] = dc[2] = dc[3] = 0
             counters = self._cdict
             counters[self._ch_k_route_data] += pair_dur + mig_dur
             counters[self._ch_k_demand_bits] += npairs * (CMD_BITS + self.line_bits)
@@ -968,25 +760,6 @@ class TwoLevelSlice(HeteroSliceBase):
             counters[self._ch_k_transfers] += 2 * npairs + nmig
             counters[self._k_mig_bits] += nmig * self.line_bits
             counters[self._k_mig_busy] += mig_dur
-        if rd_hit or rd_act or wr_hit or wr_act:
-            dc[2] = dc[3] = dc[4] = dc[5] = 0
-            fpd = self._fp_dram
-            dcd = fpd[16]
-            # Guards keep never-incremented keys out of the shared
-            # defaultdict (adding 0 would materialize them at 0.0).
-            dcd[fpd[18]] += rd_hit + rd_act + wr_hit + wr_act  # accesses
-            reads = rd_hit + rd_act
-            if reads:
-                dcd[fpd[20]] += reads
-            writes = wr_hit + wr_act
-            if writes:
-                dcd[fpd[19]] += writes
-            row_hits = rd_hit + wr_hit
-            if row_hits:
-                dcd[fpd[21]] += row_hits
-            activations = rd_act + wr_act
-            if activations:
-                dcd[fpd[22]] += activations
 
     def serve(self, addr: int, is_write: bool, now_ps: int) -> int:
         line_index = addr // self.line_bytes
@@ -1031,12 +804,6 @@ class TwoLevelSlice(HeteroSliceBase):
             k_hits, k_misses, k_migrations, k_mig_bits, k_mig_busy,
             miss_inline,
         ) = self._fp_mem
-        (
-            d_refresh, d_rint, d_rwin, d_cap, d_rowb, d_nbanks,
-            d_rpb, d_banks, D_ACTIVE, D_IDLE,
-            d_hlat, d_hocc, d_clat, d_cocc, d_xlat, d_xocc,
-            dcd, dk_ref, dk_acc, dk_wr, dk_rd, dk_hit, dk_act,
-        ) = self._fp_dram
         dc = self._dc
         line_index = addr // line_bytes
         set_index = line_index % num_sets
@@ -1065,40 +832,7 @@ class TwoLevelSlice(HeteroSliceBase):
         wau = ch._wom_active_until if wom else 0
         dur = cmd_dur_wom if wom and start < wau else cmd_dur
         t = start + dur
-        # DramDevice.access, inlined (tag-check read; the address is
-        # non-negative by construction so the reference body's sign
-        # check is elided).
-        rt = t
-        if d_refresh:
-            roff = rt % d_rint
-            if roff < d_rwin:
-                dcd[dk_ref] += 1
-                rt += d_rwin - roff
-        row_index = (set_addr % d_cap) // d_rowb
-        bank = d_banks[row_index % d_nbanks]
-        row = (row_index // d_nbanks) % d_rpb
-        b_busy = bank.busy_until_ps
-        s = rt if rt > b_busy else b_busy
-        if bank.state is D_ACTIVE and bank.open_row == row:
-            bank.row_hits += 1
-            bank.accesses += 1
-            bank.busy_until_ps = s + d_hocc
-            dc[2] += 1
-            t2 = s + d_hlat
-        else:
-            if bank.state is D_IDLE:
-                d_lat = d_clat
-                d_occ = d_cocc
-            else:
-                d_lat = d_xlat
-                d_occ = d_xocc
-            bank.activations += 1
-            bank.accesses += 1
-            bank.state = D_ACTIVE
-            bank.open_row = row
-            bank.busy_until_ps = s + d_occ
-            dc[3] += 1
-            t2 = s + d_lat
+        t2 = dram_access(set_addr, False, t)
         start = t if t2 < t else t2
         dur2 = line_dur_wom if wom and start < wau else line_dur
         t = start + dur2
@@ -1114,36 +848,7 @@ class TwoLevelSlice(HeteroSliceBase):
             if is_write:
                 # mark_dirty's residency check is statically true here.
                 ddirty[set_index] = True
-                # DramDevice.access, inlined (write-through of the hit).
-                if d_refresh:
-                    roff = t % d_rint
-                    if roff < d_rwin:
-                        dcd[dk_ref] += 1
-                        t += d_rwin - roff
-                row_index = (set_addr % d_cap) // d_rowb
-                bank = d_banks[row_index % d_nbanks]
-                row = (row_index // d_nbanks) % d_rpb
-                b_busy = bank.busy_until_ps
-                s = t if t > b_busy else b_busy
-                if bank.state is D_ACTIVE and bank.open_row == row:
-                    bank.row_hits += 1
-                    bank.accesses += 1
-                    bank.busy_until_ps = s + d_hocc
-                    dc[4] += 1
-                    return s + d_hlat
-                if bank.state is D_IDLE:
-                    d_lat = d_clat
-                    d_occ = d_cocc
-                else:
-                    d_lat = d_xlat
-                    d_occ = d_xocc
-                bank.activations += 1
-                bank.accesses += 1
-                bank.state = D_ACTIVE
-                bank.open_row = row
-                bank.busy_until_ps = s + d_occ
-                dc[5] += 1
-                return s + d_lat
+                return dram_access(set_addr, True, t)
             return t
         counters[k_misses] += 1
         if not miss_inline:
@@ -1167,8 +872,8 @@ class TwoLevelSlice(HeteroSliceBase):
                 counters[k_demux] += 1
             vdur = line_dur_wom if wom and vstart < wau else line_dur
             busy = vstart + vdur
-            dc[6] += vdur
-            dc[7] += 1
+            dc[2] += vdur
+            dc[3] += 1
             counters[k_e] += line_e
             counters[k_mrr] += line_mrr
             xp_write((victim_tag * num_sets + set_index) * line_bytes, busy)
@@ -1200,38 +905,13 @@ class TwoLevelSlice(HeteroSliceBase):
         mdur = line_dur_wom if wom and mstart < wau else line_dur
         fill = mstart + mdur
         ch._busy_data = fill
-        dc[6] += mdur
-        dc[7] += 1
+        dc[2] += mdur
+        dc[3] += 1
         counters[k_e] += line_e
         counters[k_mrr] += line_mrr
-        # DramDevice.access, inlined (cache-fill write; the returned
-        # completion time is unused, matching the reference).
-        if d_refresh:
-            roff = fill % d_rint
-            if roff < d_rwin:
-                dcd[dk_ref] += 1
-                fill += d_rwin - roff
-        row_index = (set_addr % d_cap) // d_rowb
-        bank = d_banks[row_index % d_nbanks]
-        row = (row_index // d_nbanks) % d_rpb
-        b_busy = bank.busy_until_ps
-        s = fill if fill > b_busy else b_busy
-        if bank.state is D_ACTIVE and bank.open_row == row:
-            bank.row_hits += 1
-            bank.accesses += 1
-            bank.busy_until_ps = s + d_hocc
-            dc[4] += 1
-        else:
-            if bank.state is D_IDLE:
-                d_occ = d_cocc
-            else:
-                d_occ = d_xocc
-            bank.activations += 1
-            bank.accesses += 1
-            bank.state = D_ACTIVE
-            bank.open_row = row
-            bank.busy_until_ps = s + d_occ
-            dc[5] += 1
+        # Cache-fill write; its completion time is unused, matching
+        # the reference.
+        dram_access(set_addr, True, fill)
         # directory.fill, inlined.
         dvalid[set_index] = True
         ddirty[set_index] = is_write

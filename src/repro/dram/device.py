@@ -24,8 +24,15 @@ class DramAddress:
     col: int
 
 
-class DramDevice:  # reprolint: allow(R2) the slice fast path probes dram.__dict__ to detect instance patches (core/slices.py _dram_constant_pack)
+class DramDevice:
     """Bank array + address decode for one DRAM device."""
+
+    __slots__ = (
+        "cfg", "capacity_bytes", "timing", "banks", "stats", "name",
+        "enable_refresh", "rows_per_bank", "_cdict", "_k_refresh_stalls",
+        "_k_accesses", "_k_writes", "_k_reads", "_k_row_hits",
+        "_k_activations", "_dc", "_fp",
+    )
 
     def __init__(
         self,
@@ -55,41 +62,61 @@ class DramDevice:  # reprolint: allow(R2) the slice fast path probes dram.__dict
         self._k_reads = f"{name}.reads"
         self._k_row_hits = f"{name}.row_hits"
         self._k_activations = f"{name}.activations"
-        self._num_banks = len(self.banks)
-        # Demand-path flattening: the three open-page outcomes resolve
-        # to constant (latency, occupancy) pairs, precomputed so
-        # :meth:`access` runs the bank state machine inline with plain
-        # integer adds — no timing-table or classify calls per access.
-        t = self.timing
-        self._row_bytes = cfg.row_bytes
-        self._hit_lat = t.t_cl_ps
-        self._hit_occ = t.t_burst_ps
-        self._closed_lat = t.t_rcd_ps + t.t_cl_ps
-        self._closed_occ = t.t_rcd_ps + t.t_burst_ps
-        self._conflict_lat = t.t_rp_ps + t.t_rcd_ps + t.t_cl_ps
-        self._conflict_occ = t.t_rp_ps + t.t_rcd_ps + t.t_burst_ps
+        # Deferred outcome counts of :meth:`access` — [read row-hit,
+        # read activation, write row-hit, write activation] — folded
+        # into the shared counters by :meth:`_flush_deferred`.
+        self._dc = [0, 0, 0, 0]
+        self.stats.register_flush(self._flush_deferred)
         # One-tuple constant pack for :meth:`access`: everything the
         # per-access state machine needs, loaded with a single unpack
-        # instead of a dozen attribute chains.  All entries are
-        # construction-time constants (or stable containers).
+        # instead of a dozen attribute chains.  The three open-page
+        # outcomes resolve to constant (latency, occupancy) pairs, so
+        # the state machine runs on plain integer adds with no
+        # timing-table or classify calls per access.
+        t = self.timing
         self._fp = (
-            self.enable_refresh,
+            enable_refresh,
             t.refresh_interval_ps,
             t.refresh_latency_ps,
-            self.capacity_bytes,
-            self._row_bytes,
-            self._num_banks,
+            capacity_bytes,
+            cfg.row_bytes,
+            len(self.banks),
             self.rows_per_bank,
             self.banks,
             BankState.ACTIVE,
             BankState.IDLE,
-            self._hit_lat,
-            self._hit_occ,
-            self._closed_lat,
-            self._closed_occ,
-            self._conflict_lat,
-            self._conflict_occ,
+            t.t_cl_ps,
+            t.t_burst_ps,
+            t.t_rcd_ps + t.t_cl_ps,
+            t.t_rcd_ps + t.t_burst_ps,
+            t.t_rp_ps + t.t_rcd_ps + t.t_cl_ps,
+            t.t_rp_ps + t.t_rcd_ps + t.t_burst_ps,
+            self._dc,
         )
+
+    def _flush_deferred(self) -> None:
+        """Fold the batched outcome counts into the counters.
+
+        Idempotent; registered with the shared :class:`Stats`, which
+        runs it before any counter read (``get``/``snapshot``).  Zero
+        counts are skipped so a key the run never touched stays absent.
+        """
+        dc = self._dc
+        rd_hit, rd_act, wr_hit, wr_act = dc
+        accesses = rd_hit + rd_act + wr_hit + wr_act
+        if not accesses:
+            return
+        dc[0] = dc[1] = dc[2] = dc[3] = 0
+        counters = self._cdict
+        counters[self._k_accesses] += accesses
+        for key, n in (
+            (self._k_reads, rd_hit + rd_act),
+            (self._k_writes, wr_hit + wr_act),
+            (self._k_row_hits, rd_hit + wr_hit),
+            (self._k_activations, rd_act + wr_act),
+        ):
+            if n:
+                counters[key] += n
 
     def decode(self, addr: int) -> DramAddress:
         """Row-interleaved mapping: consecutive rows hit different banks."""
@@ -117,12 +144,15 @@ class DramDevice:  # reprolint: allow(R2) the slice fast path probes dram.__dict
     def access(self, addr: int, is_write: bool, now_ps: int) -> int:
         """Issue a column access; returns the completion time (ps).
 
-        Inlines :meth:`decode` (address math only — no
-        :class:`DramAddress` record is allocated per access), the
-        refresh-window check, *and* the bank's row-buffer state machine
-        against the precomputed outcome timings; this runs once or more
-        per demand request.  Keep it in lock-step with
-        :meth:`Bank.access` — the audit reconciles both ledgers.
+        The one demand-path body of the bank row-buffer state machine:
+        every slice ``serve``, reference and fast, calls it.  It inlines
+        :meth:`decode` (address math only — no :class:`DramAddress`
+        record is allocated per access), :meth:`_refresh_delay` and
+        :meth:`Bank.access` against the precomputed outcome timings;
+        ``tests/test_dram.py`` checks it against those three on a twin
+        device.  The outcome counts batch in ``_dc`` (see
+        :meth:`_flush_deferred`); the refresh-stall counter is a direct
+        add.
         """
         if addr < 0:
             raise ValueError("negative address")
@@ -131,13 +161,12 @@ class DramDevice:  # reprolint: allow(R2) the slice fast path probes dram.__dict
             capacity, row_bytes, num_banks, rows_per_bank, banks,
             ACTIVE, IDLE,
             hit_lat, hit_occ, closed_lat, closed_occ,
-            conflict_lat, conflict_occ,
+            conflict_lat, conflict_occ, dc,
         ) = self._fp
-        counters = self._cdict
         if enable_refresh:
             offset = now_ps % refresh_interval
             if offset < refresh_window:
-                counters[self._k_refresh_stalls] += 1
+                self._cdict[self._k_refresh_stalls] += 1
                 now_ps += refresh_window - offset
         row_index = (addr % capacity) // row_bytes
         bank = banks[row_index % num_banks]
@@ -148,9 +177,7 @@ class DramDevice:  # reprolint: allow(R2) the slice fast path probes dram.__dict
             bank.row_hits += 1
             bank.accesses += 1
             bank.busy_until_ps = start + hit_occ
-            counters[self._k_accesses] += 1
-            counters[self._k_writes if is_write else self._k_reads] += 1
-            counters[self._k_row_hits] += 1
+            dc[2 if is_write else 0] += 1
             return start + hit_lat
         if bank.state is IDLE:
             latency = closed_lat
@@ -163,9 +190,7 @@ class DramDevice:  # reprolint: allow(R2) the slice fast path probes dram.__dict
         bank.state = ACTIVE
         bank.open_row = row
         bank.busy_until_ps = start + occupancy
-        counters[self._k_accesses] += 1
-        counters[self._k_writes if is_write else self._k_reads] += 1
-        counters[self._k_activations] += 1
+        dc[3 if is_write else 1] += 1
         return start + latency
 
     def activate_for_swap(self, addr: int, now_ps: int) -> int:

@@ -6,10 +6,10 @@ interconnect and the memory system; the warp sleeps until the response
 timestamp.  The traces are post-cache streams, so no on-chip cache is
 modelled.
 
-:meth:`StreamingMultiprocessor.access_memory` is the reference memory
-path: warps hand it a bare ``(addr, is_write)`` pair.
-:meth:`~StreamingMultiprocessor._access_uncached` is its fast variant,
-which the warp lane binds while both methods are pristine.
+:meth:`StreamingMultiprocessor.access_memory` is the memory path:
+warps hand it a bare ``(addr, is_write)`` pair.  The warp lane's fused
+drain inlines it against the SM's constant pack ``_fp`` while the
+method is pristine.
 """
 
 from __future__ import annotations
@@ -50,26 +50,22 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
         self._cdict = stats.counters
         self._lat_mem = stats.latency_handle("mem.latency_ps")
         self._line_bits = line_bytes * 8
-        # Demand-path specialization: every demand access moves exactly
-        # one line, so the crossbar occupancy is a constant — computed
-        # once here, letting the fast path inline the traverse.
-        self._noc_occupancy_ps = interconnect.occupancy_ps(self._line_bits)
-        self._serve_addr = memory.serve_addr
         # Page-interleave routing, pre-resolved: when the memory system
-        # is the real one (not a test double), the fast path picks the
-        # slice itself and calls its ``serve`` directly — the
-        # ``serve_addr`` dispatch hop disappears from the per-event path.
+        # is the real one (not a test double), the fused drain picks the
+        # slice itself and calls its ``serve`` directly — no
+        # ``serve_addr`` dispatch hop per event.  Every demand access
+        # moves exactly one line, so the crossbar occupancy is a
+        # constant.  One-tuple constant pack: one unpack replaces a
+        # dozen attribute chains.
         from repro.core.memsystem import MemorySystem
 
         if type(memory) is MemorySystem:
-            # One-tuple constant pack for the fast path: one
-            # unpack replaces a dozen attribute chains per access.
             self._fp = (
                 engine,
                 interconnect,
                 interconnect._cdict,
                 self._line_bits,
-                self._noc_occupancy_ps,
+                interconnect.occupancy_ps(self._line_bits),
                 interconnect.latency_ps,
                 memory.slices,
                 memory.page_bytes,
@@ -103,64 +99,4 @@ class StreamingMultiprocessor:  # reprolint: allow(R2) the fused warp drain prob
         complete = self.memory.serve_addr(addr, is_write, arrive)
         self._cdict["mem.demand_requests"] += 1
         self._lat_mem.record(complete - now)
-        return complete
-
-    def _access_uncached(self, addr: int, is_write: bool) -> int:
-        """Fast variant of :meth:`access_memory`.
-
-        Same arithmetic and the same counter-update order, with
-        the crossbar traverse inlined against the precomputed line
-        occupancy (the ``int(round(...))`` per call goes away), the
-        page-interleave routing resolved here (no ``serve_addr`` hop)
-        and the latency stat updated in place (no ``record`` call).
-        """
-        fp = self._fp
-        if fp is None:
-            # Test doubles / custom memory systems: generic route.
-            now = self.engine.now
-            ic = self.interconnect
-            busy = ic._busy_until
-            start = now if now > busy else busy
-            occupancy = self._noc_occupancy_ps
-            ic._busy_until = start + occupancy
-            noc_counters = ic._cdict
-            noc_counters["noc.bits"] += self._line_bits
-            noc_counters["noc.busy_ps"] += occupancy
-            complete = self._serve_addr(
-                addr, is_write, start + occupancy + ic.latency_ps
-            )
-            self._cdict["mem.demand_requests"] += 1
-            value = complete - now
-            lat = self._lat_mem
-        else:
-            (
-                engine, ic, noc_counters, line_bits, occupancy,
-                ic_latency, slices, page_bytes, n, cdict, lat,
-            ) = fp
-            now = engine.now
-            busy = ic._busy_until
-            start = now if now > busy else busy
-            ic._busy_until = start + occupancy
-            noc_counters["noc.bits"] += line_bits
-            noc_counters["noc.busy_ps"] += occupancy
-            if addr < 0:
-                raise ValueError("negative address")
-            page = addr // page_bytes
-            complete = slices[page % n].serve(
-                (page // n) * page_bytes + (addr - page * page_bytes),
-                is_write,
-                start + occupancy + ic_latency,
-            )
-            cdict["mem.demand_requests"] += 1
-            value = complete - now
-        # LatencyStat.record, inlined (same update rules).
-        if lat.count == 0:
-            lat.min_value = value
-            lat.max_value = value
-        elif value < lat.min_value:
-            lat.min_value = value
-        elif value > lat.max_value:
-            lat.max_value = value
-        lat.count += 1
-        lat.total += value
         return complete

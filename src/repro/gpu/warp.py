@@ -56,7 +56,6 @@ def _capture_sm_methods() -> dict:
     return {
         "issue_burst": StreamingMultiprocessor.issue_burst,
         "access_memory": StreamingMultiprocessor.access_memory,
-        "_access_uncached": StreamingMultiprocessor._access_uncached,
     }
 
 
@@ -155,13 +154,14 @@ class WarpLane:
         self._addrs: List[List[int]] = []
         self._writes: List[List[bool]] = []
         self._sms = [w.sm for w in warps]
-        # The lane inlines SM issue accounting and binds the fast memory
-        # variant — but only for pristine SMs.  A subclassed or patched
+        # The fused drain inlines SM issue accounting and the memory
+        # access — but only for pristine SMs.  A subclassed or patched
         # SM (the audit drift tests inject counter leaks this way, the
         # reference-oracle test wraps ``access_memory``) keeps the
         # reference method on the event path.  "Pristine" means the
         # method is still the exact function this module captured at
-        # import time, with no instance override shadowing it.
+        # import time, with no instance override shadowing it.  The
+        # per-event loop always calls the reference methods.
         def _pristine(sm: "StreamingMultiprocessor", name: str) -> bool:
             return (
                 name not in sm.__dict__
@@ -170,28 +170,19 @@ class WarpLane:
 
         self._inline_burst = all(_pristine(w.sm, "issue_burst") for w in warps)
         self._issue = [w.sm.issue_burst for w in warps]
-        self._access = [
-            w.sm._access_uncached
-            if _pristine(w.sm, "access_memory")
-            and _pristine(w.sm, "_access_uncached")
-            else w.sm.access_memory
-            for w in warps
-        ]
+        self._access = [w.sm.access_memory for w in warps]
         self._period = [w.sm.period_ps for w in warps]
-        # Drain-level memory fusion: when *every* warp's memory entry
-        # point is the pristine uncached fast path and all SMs share one
-        # constant pack (they always do on a real model — the pack holds
-        # the shared engine/interconnect/slices/stats handles, and the
-        # only per-SM state, ``_issue_free_at``, lives in the burst
-        # phase), the fused drain unpacks that one tuple before its loop
-        # and inlines the whole access in the MEM branch — no bound call
+        # Drain-level memory fusion: when *every* SM's ``access_memory``
+        # is pristine and all SMs share one constant pack (they always
+        # do on a real model — the pack holds the shared
+        # engine/interconnect/slices/stats handles, and the only per-SM
+        # state, ``_issue_free_at``, lives in the burst phase), the
+        # fused drain unpacks that one tuple before its loop and
+        # inlines the whole access in the MEM branch — no bound call
         # per memory event.  Any mixed or patched configuration keeps
         # the per-warp ``access[w](...)`` dispatch.
-        uncached = _SM_METHODS["_access_uncached"]
         mem_fp = None
-        if n and all(
-            getattr(a, "__func__", None) is uncached for a in self._access
-        ):
+        if n and all(_pristine(sm, "access_memory") for sm in self._sms):
             base = self._sms[0]._fp
             if base is not None and all(
                 sm._fp == base for sm in self._sms
@@ -229,7 +220,7 @@ class WarpLane:
         and schedules the warp's first memory issue on the lane.
         """
         for w in range(self._num_warps):
-            self._burst(w, self._engine.now)
+            self._burst(w)
 
     def _advance(self, w: int) -> bool:
         """Swap warp ``w``'s next block in; False when exhausted.
@@ -254,7 +245,7 @@ class WarpLane:
         self._cursor[w] = 0
         return True
 
-    def _burst(self, w: int, now: int) -> None:
+    def _burst(self, w: int) -> None:
         """One burst phase for warp ``w`` (or its finish)."""
         cursor = self._cursor[w]
         if cursor >= self._nops[w]:
@@ -263,23 +254,12 @@ class WarpLane:
             else:
                 self._finish(w)
                 return
-        gap = self._gaps[w][cursor]
-        n = gap + 1
-        if self._inline_burst:
-            if n < 1:
-                raise ValueError("a burst needs at least one instruction")
-            sm = self._sms[w]
-            free = sm._issue_free_at
-            start = now if now > free else free
-            end = start + n * self._period[w]
-            sm._issue_free_at = end
-            self._cdict["gpu.instructions"] += n
-        else:
-            end = self._issue[w](n)
+        n = self._gaps[w][cursor] + 1
+        end = self._issue[w](n)
         self._retired[w] += n
         self._engine.lane_schedule(w, end, PHASE_MEM)
 
-    def _mem(self, w: int, now: int) -> None:
+    def _mem(self, w: int) -> None:
         """One memory-issue phase for warp ``w``."""
         cursor = self._cursor[w]
         addr = self._addrs[w][cursor]
@@ -300,9 +280,9 @@ class WarpLane:
     def _step_one(self, w: int, phase: int) -> None:
         """Execute one lane event (the engine's per-event hook)."""
         if phase == PHASE_MEM:
-            self._mem(w, self._engine.now)
+            self._mem(w)
         else:
-            self._burst(w, self._engine.now)
+            self._burst(w)
 
     def sync(self) -> None:
         """Mirror lane columns back into the :class:`Warp` objects."""
@@ -325,12 +305,13 @@ class WarpLane:
         touching ``engine.now`` once per event and flushing ``_seq``
         and ``events_processed`` on exit.
 
-        When :attr:`_mem_fp` is set (every SM shares the pristine
-        uncached fast path), the MEM branch runs the whole access
-        inline — crossbar window, page-interleave routing, the slice
-        ``serve`` call and the demand counters — against constants
-        unpacked once before the loop; the arithmetic and the update
-        order are exactly ``StreamingMultiprocessor._access_uncached``.
+        When :attr:`_mem_fp` is set (every SM's ``access_memory`` is
+        pristine and all share one constant pack), the MEM branch runs
+        the whole access inline — crossbar window, page-interleave
+        routing, the slice ``serve`` call and the demand counters —
+        against constants unpacked once before the loop; the arithmetic
+        and the update order are exactly
+        ``StreamingMultiprocessor.access_memory``'s.
 
         Constant per-event counter increments (``noc.bits``,
         ``noc.busy_ps``, ``mem.demand_requests``, ``gpu.instructions``
@@ -402,7 +383,7 @@ class WarpLane:
                     if mem_fp is None:
                         complete = access[w](addr, write)
                     else:
-                        # _access_uncached, fully inlined (same
+                        # access_memory, fully inlined (same
                         # arithmetic and counter-update order).
                         busy = ic._busy_until
                         start = t if t > busy else busy

@@ -23,10 +23,9 @@ from typing import Dict, List
 class LatencyStat:
     """Streaming mean/min/max without storing samples.
 
-    Slotted: the hot paths (``StreamingMultiprocessor._access_uncached``
-    and the warp lane's fused drain) update the four fields in place per
-    memory event, and slot descriptors make those loads/stores cheaper
-    than ``__dict__`` lookups.
+    Slotted: the warp lane's fused drain updates the four fields in
+    place, and slot descriptors make those loads/stores cheaper than
+    ``__dict__`` lookups.
     """
 
     count: int = 0

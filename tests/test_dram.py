@@ -1,6 +1,8 @@
 """DRAM substrate tests: timing, bank state machine, device decode."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DramTimingConfig
 from repro.dram.bank import Bank, BankState
@@ -175,3 +177,54 @@ class TestDevice:
         assert dev.total_accesses == 0
         assert dev.stats.get(f"{dev.name}.accesses") == 0
         assert sum(b.occupancies for b in dev.banks) == 1
+
+
+class TestAccessOracle:
+    """``DramDevice.access`` equals ``decode`` + ``_refresh_delay`` +
+    ``Bank.access`` (with ``DramTiming.access_latency_ps``) on a twin
+    device: the same completion times, bank states and counters."""
+
+    @given(
+        capacity=st.sampled_from([1 << 10, 1 << 14, 3 << 15, 1 << 20]),
+        refresh=st.booleans(),
+        ops=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(min_value=0, max_value=1 << 13),
+                    st.integers(min_value=0, max_value=1 << 22),
+                ),
+                st.booleans(),
+                st.integers(min_value=0, max_value=ns(400)),
+            ),
+            max_size=400,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_access_matches_bank_oracle(self, capacity, refresh, ops):
+        dev, twin = (
+            DramDevice(
+                DramTimingConfig(), capacity, Stats(), name="d",
+                enable_refresh=refresh,
+            )
+            for _ in range(2)
+        )
+        want = dict.fromkeys(
+            ("accesses", "reads", "writes", "row_hits", "activations"), 0
+        )
+        now = 0
+        for addr, is_write, gap in ops:
+            now += gap
+            loc = twin.decode(addr)
+            bank_now = now + twin._refresh_delay(now)
+            expected, outcome = twin.banks[loc.bank].access(loc.row, bank_now)
+            assert dev.access(addr, is_write, now) == expected
+            want["accesses"] += 1
+            want["writes" if is_write else "reads"] += 1
+            hit = outcome is AccessOutcome.ROW_HIT
+            want["row_hits" if hit else "activations"] += 1
+        assert dev.banks == twin.banks
+        # Zero counts stay absent from the counters, as in the twin.
+        expected_counters = {f"d.{k}": float(v) for k, v in want.items() if v}
+        expected_counters.update(twin.stats.snapshot())  # refresh stalls
+        assert dev.stats.snapshot() == expected_counters
+        assert dev.stats.snapshot() == expected_counters  # flush is idempotent

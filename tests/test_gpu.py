@@ -126,9 +126,13 @@ def _registry_runs():
 
 
 class TestDrainParity:
-    """On the whole registry, the fused drain equals the per-event loop,
-    the reference memory path equals the fast one, and all three equal
-    the checked-in registry fingerprints.
+    """On the whole registry, the fused drain equals the reference SM
+    path, and both equal the checked-in registry fingerprints.
+
+    The reference path runs twice: in the capped per-event loop, which
+    calls ``access_memory`` and ``issue_burst`` per event, and in the
+    drain with ``access_memory`` wrapped, which pins that a patched
+    method stops the drain from inlining it.
 
     If you change simulation *behavior on purpose*, regenerate with::
 
@@ -168,6 +172,23 @@ class TestDrainParity:
                 mismatches.append(("golden", job))
         assert unpinned == [], "no registry fingerprint; run --regen"
         assert len(golden) == len(REGISTERED_WORKLOADS) * len(PLATFORMS) * len(MemoryMode)
+        assert mismatches == []
+
+
+class TestSliceOracle:
+    """On the whole registry, every slice's reference ``serve`` (all
+    channel windows through ``transfer_window``) equals its fast one."""
+
+    def test_reference_serve_matches_fast_serve_everywhere(self):
+        mismatches = []
+        for job, cfg, spec, traces, platform in _registry_runs():
+            fast = GpuModel(platform, cfg, spec, traces).run()
+            model = GpuModel(platform, cfg, spec, traces)
+            for sl in model.memory.slices:
+                sl.refresh_channel_binding()
+                assert "serve" not in sl.__dict__
+            if model.run().fingerprint() != fast.fingerprint():
+                mismatches.append(job)
         assert mismatches == []
 
 

@@ -36,21 +36,24 @@ REPEAT = 10
 
 
 def _child(trace_path: str) -> int:
-    """Replay one trace file streamed; print peak RSS as JSON."""
-    import resource
+    """Replay one trace file streamed; print peak RSS as JSON.
 
+    The peak is this process's own ``VmHWM``: a child started by fork
+    and exec inherits its parent's ``ru_maxrss``, which would report the
+    parent's peak whenever that is larger.
+    """
     from repro.config import default_config
     from repro.core.platforms import PLATFORMS
     from repro.gpu.gpu import GpuModel
+    from repro.harness.perf import peak_rss_bytes
     from repro.workloads.trace import FileTraceSource
 
     source = FileTraceSource(trace_path)
     cfg = default_config()
     platform = PLATFORMS["Hetero"]
     result = GpuModel(platform, cfg, source.meta.spec, source).run()
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     print(json.dumps({
-        "peak_rss_bytes": peak,
+        "peak_rss_bytes": peak_rss_bytes(),
         "instructions": result.instructions,
         "fingerprint": result.fingerprint(),
     }))
