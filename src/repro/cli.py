@@ -692,14 +692,17 @@ def _pump_stage(source, transform=None, passes: int = 1) -> int:
     """Round-robin a source's blocks through ``transform`` onto stdout.
 
     The stage skeleton every ``repro trace`` subcommand shares: pull one
-    block per live warp per round (so downstream readers park at most
-    one round), apply ``transform(warp_id, stream, block) -> block |
-    None`` (``None`` drops the warp — its stream is ended immediately,
-    preserving the warp count and therefore SM placement), and emit the
-    chunked v2 format.  Peak memory is one block per warp regardless of
-    trace length.  ``passes > 1`` streams the whole source that many
-    times end to end (a re-streamable source only); every warp's end
-    marker then waits for the last pass.
+    block per live warp per round, apply ``transform(warp_id, stream,
+    block) -> block | None`` (``None`` drops the warp — its stream is
+    ended immediately, preserving the warp count and therefore SM
+    placement), and emit the chunked v2 format.  A file input is read
+    by per-warp offsets and parks nothing; stdin is read front to back,
+    and the round-robin pull keeps both it and a downstream stage
+    reading this output near one round of parked blocks.  Peak memory
+    is one block per warp regardless of trace length.  ``passes > 1``
+    streams the whole source that many times end to end (a
+    re-streamable source only); every warp's end marker then waits for
+    the last pass.
     """
     from repro.workloads.trace import ChunkedTraceWriter
 
@@ -708,8 +711,8 @@ def _pump_stage(source, transform=None, passes: int = 1) -> int:
         for _ in range(passes):
             live = source.streams()
             # Dropped warps keep being pulled one block per round
-            # (discarded, never written): their records would otherwise
-            # park unboundedly in the shared demultiplexer while the
+            # (discarded, never written): on stdin their records would
+            # otherwise park unboundedly in the demultiplexer while the
             # surviving warps stream past them.  Once no warp is being
             # *written* any more the stage exits without draining —
             # early termination, upstream sees SIGPIPE.

@@ -24,8 +24,11 @@ producing side is honest about where it must buffer (DESIGN.md
 section 12): generated families draw their per-warp gap and write
 vectors in one shot — the frozen workload digests pin the RNG
 consumption order, which a per-chunk regeneration would break — and
-stream only the address loop; file replay (the chunked v2 format in
-``workloads/trace.py``) buffers nothing beyond parked blocks.
+stream only the address loop.  Replaying an uncompressed trace file
+(``workloads/trace.py``) seeks each warp to its own records and holds
+8 B of index per block besides; only a non-seekable input (stdin, an
+open handle, a ``.gz`` file) is read front to back and parks the
+blocks of warps that fall behind.
 
 :func:`materialize` is the single adapter back to ``List[WarpTrace]``:
 the registry's ``build_traces`` is ``materialize(build_source(...))``,
@@ -161,7 +164,7 @@ class TraceSource:
 
     Subclasses implement :meth:`blocks` (a *fresh* iterator per call)
     and may override :meth:`streams` when per-warp iterators cannot be
-    independent (file demultiplexing).  ``num_warps`` is fixed at
+    independent (a trace file shares one handle).  ``num_warps`` is fixed at
     construction; sizing is baked into the source, mirroring how a
     trace file fixes its own shape.
     """

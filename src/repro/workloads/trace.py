@@ -34,6 +34,9 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import os
+import re
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,8 +51,10 @@ TRACE_VERSION = 1
 #: The chunked (v2) format: after the header, each line is one warp's
 #: next block ``{"w": i, "g": [...], "a": [...], "wr": [0/1, ...]}``
 #: (plus ``"t"``, the tenant label, on a warp's first record), warps
-#: interleaved round-robin so a replaying reader parks at most one
-#: round of blocks; a warp's stream ends with ``{"w": i, "end": 1}``.
+#: interleaved round-robin; a warp's stream ends with
+#: ``{"w": i, "end": 1}``.  A file replay seeks each warp to its own
+#: records and parks nothing; a sequential read of a pipe parks the
+#: blocks of warps that fall behind, however far that is.
 #: Missing end markers mean the file was truncated mid-stream, and a
 #: warp with an end marker but no blocks is legitimately empty (the
 #: ``repro trace filter`` stage emits exactly that for dropped warps).
@@ -220,149 +225,305 @@ def read_trace_meta(path: Union[str, Path]) -> TraceMeta:
         raise TraceFormatError(f"{path}: not a readable trace file ({exc})") from None
 
 
-class _TraceDemux:
-    """Sequential record reader demultiplexed into per-warp block queues.
+def _parse_record(
+    line: Union[str, bytes], version: int, num_warps: int, label: str
+) -> tuple[int, Optional[Block], Optional[str]]:
+    """Decode one record line into ``(warp_id, block, tenant)``.
 
-    One pass over the file serves every warp's stream: a pull for warp
-    ``w`` reads records — parking other warps' blocks on their queues —
-    until ``w``'s next block or its end-of-stream surfaces.  For v2
-    files written round-robin the parking is bounded by one round of
-    blocks; a v1 file parks whole-warp records (still line-incremental:
-    each record becomes native lists straight from the JSON parser,
-    never numpy arrays or per-op tuples).
+    ``block`` is ``None`` for a v2 end marker.  Every malformed-record
+    message both readers raise is made here.
+    """
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(
+                f"{label}: not a readable trace file ({exc})"
+            ) from None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"{label}: corrupt warp record ({exc})") from None
+    v1 = version == TRACE_VERSION
+    key = "warp" if v1 else "w"
+    try:
+        warp_id = int(record[key])
+    except (KeyError, TypeError, ValueError):
+        raise TraceFormatError(
+            f"{label}: warp record without a usable {key!r} field"
+        ) from None
+    if not 0 <= warp_id < num_warps:
+        raise TraceFormatError(
+            f"{label}: header says {num_warps} warps, "
+            f"file has a record for warp {warp_id}"
+        )
+    if not v1 and record.get("end"):
+        return warp_id, None, None
+    if v1:
+        gk, ak, wk, tk = "gaps", "addrs", "writes", "tenant"
+    else:
+        gk, ak, wk, tk = "g", "a", "wr", "t"
+    try:
+        block = (record[gk], record[ak], [bool(v) for v in record[wk]])
+    except (KeyError, TypeError) as exc:
+        raise TraceFormatError(f"{label}: corrupt warp record ({exc})") from None
+    return warp_id, block, record.get(tk)
 
-    Truncation fails loudly on both formats: v1 requires exactly
-    ``num_warps`` records by EOF, v2 requires every warp's end marker.
+
+def _truncation_error(
+    ended: Sequence[bool], version: int, label: str
+) -> Optional[str]:
+    """The message for a file that ends before every warp does."""
+    if version == TRACE_VERSION:
+        seen = sum(ended)
+        if seen != len(ended):
+            return f"{label}: header says {len(ended)} warps, file has {seen}"
+        return None
+    missing = [w for w, done in enumerate(ended) if not done]
+    if missing:
+        return (
+            f"{label}: truncated stream — no end marker for "
+            f"warp(s) {missing[:8]}"
+        )
+    return None
+
+
+class _RecordReader:
+    """One open trace file serving every warp's block iterator.
+
+    The file closes when the last warp's stream ends, or on the first
+    format error.  Records for a warp after its end (a v2 end marker,
+    or v1's one record) are ignored.
     """
 
     def __init__(
         self,
-        fh: IO[str],
+        fh: IO,
         num_warps: int,
         version: int,
         label: str,
         streams: Optional[List[WarpStream]] = None,
     ) -> None:
-        self._fh: Optional[IO[str]] = fh
+        self._fh: Optional[IO] = fh
         self._num_warps = num_warps
         self._version = version
         self._label = label
         self._streams = streams
-        self._queues: List[deque] = [deque() for _ in range(num_warps)]
-        self._ended = [False] * num_warps
-        self._seen = [False] * num_warps
+        self._live = set(range(num_warps))  # warps whose stream goes on
+
+    def pull(self, warp_id: int) -> Optional[Block]:
+        raise NotImplementedError
+
+    def blocks(self, warp_id: int) -> Iterator[Block]:
+        while True:
+            block = self.pull(warp_id)
+            if block is None:
+                return
+            yield block
+
+    def close(self) -> None:
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            fh.close()
+
+    def _fail(self, message: str) -> TraceFormatError:
+        self.close()
+        return TraceFormatError(message)
+
+    def _end(self, warp_id: int) -> None:
+        self._live.discard(warp_id)
+        if not self._live:
+            self.close()
+
+    def _parse(self, line: Union[str, bytes]) -> tuple[int, Optional[Block]]:
+        try:
+            warp_id, block, tenant = _parse_record(
+                line, self._version, self._num_warps, self._label
+            )
+        except TraceFormatError:
+            self.close()
+            raise
+        if tenant is not None and self._streams is not None:
+            self._streams[warp_id].tenant = tenant
+        return warp_id, block
+
+
+class _TraceDemux(_RecordReader):
+    """Sequential reader demultiplexed into per-warp block queues.
+
+    Serves the inputs that cannot seek: stdin, open handles and ``.gz``
+    files.  A pull for warp ``w`` reads records — parking other warps'
+    blocks on their queues — until ``w``'s next block or its end
+    surfaces.  How much parks depends on how far the consumers drift
+    apart, not on the writer's round-robin order: read this way, the
+    288×1024 Hetero drain of a spill parked up to 674 blocks (2.3
+    rounds); a v1 file parks whole-warp records.
+
+    Truncation fails loudly on both formats: v1 requires exactly
+    ``num_warps`` records by EOF, v2 requires every warp's end marker.
+    """
+
+    def __init__(self, fh: IO[str], *args, **kwargs) -> None:
+        super().__init__(fh, *args, **kwargs)
+        self._queues: List[deque] = [deque() for _ in range(self._num_warps)]
+        self._ended = [False] * self._num_warps
 
     def pull(self, warp_id: int) -> Optional[Block]:
         queue = self._queues[warp_id]
         while not queue and not self._ended[warp_id] and self._fh is not None:
             self._read_record()
-        return queue.popleft() if queue else None
-
-    def _close(self) -> None:
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.close()
+        if queue:
+            return queue.popleft()
+        self._end(warp_id)
+        return None
 
     def _read_record(self) -> None:
         assert self._fh is not None
         try:
             line = self._fh.readline()
         except (EOFError, UnicodeDecodeError) as exc:
-            self._fh = None
-            raise TraceFormatError(
+            raise self._fail(
                 f"{self._label}: not a readable trace file ({exc})"
             ) from None
         if not line:
-            self._close()
-            self._check_complete()
+            message = _truncation_error(self._ended, self._version, self._label)
+            if message is not None:
+                raise self._fail(message)
+            self.close()
             return
         if not line.strip():
             return
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            self._close()
-            raise TraceFormatError(
-                f"{self._label}: corrupt warp record ({exc})"
-            ) from None
-        if self._version == TRACE_VERSION:
-            self._park_v1(record)
-        else:
-            self._park_v2(record)
-
-    def _warp_of(self, record: dict, key: str) -> int:
-        try:
-            warp_id = int(record[key])
-        except (KeyError, TypeError, ValueError):
-            self._close()
-            raise TraceFormatError(
-                f"{self._label}: warp record without a usable {key!r} field"
-            ) from None
-        if not 0 <= warp_id < self._num_warps:
-            self._close()
-            raise TraceFormatError(
-                f"{self._label}: header says {self._num_warps} warps, "
-                f"file has a record for warp {warp_id}"
-            )
-        return warp_id
-
-    def _set_tenant(self, warp_id: int, tenant: Optional[str]) -> None:
-        if tenant is not None and self._streams is not None:
-            self._streams[warp_id].tenant = tenant
-
-    def _park_v1(self, record: dict) -> None:
-        warp_id = self._warp_of(record, "warp")
-        self._seen[warp_id] = True
-        self._ended[warp_id] = True  # one record per warp in v1
-        self._set_tenant(warp_id, record.get("tenant"))
-        try:
-            block = (
-                record["gaps"],
-                record["addrs"],
-                [bool(v) for v in record["writes"]],
-            )
-        except (KeyError, TypeError) as exc:
-            self._close()
-            raise TraceFormatError(
-                f"{self._label}: corrupt warp record ({exc})"
-            ) from None
-        self._queues[warp_id].append(block)
-
-    def _park_v2(self, record: dict) -> None:
-        warp_id = self._warp_of(record, "w")
-        self._seen[warp_id] = True
-        if record.get("end"):
+        warp_id, block = self._parse(line)
+        if self._ended[warp_id]:
+            return
+        if block is not None:
+            self._queues[warp_id].append(block)
+        if block is None or self._version == TRACE_VERSION:
             self._ended[warp_id] = True
-            return
-        self._set_tenant(warp_id, record.get("t"))
-        try:
-            block = (
-                record["g"],
-                record["a"],
-                [bool(v) for v in record["wr"]],
-            )
-        except (KeyError, TypeError) as exc:
-            self._close()
-            raise TraceFormatError(
-                f"{self._label}: corrupt warp record ({exc})"
-            ) from None
-        self._queues[warp_id].append(block)
 
-    def _check_complete(self) -> None:
-        if self._version == TRACE_VERSION:
-            seen = sum(self._seen)
-            if seen != self._num_warps:
-                raise TraceFormatError(
-                    f"{self._label}: header says {self._num_warps} warps, "
-                    f"file has {seen}"
+
+#: The warp-id prefix the writers give each record (``save_traces``
+#: for v1, ``ChunkedTraceWriter`` for v2), read without decoding the
+#: rest of the line.
+_WARP_PREFIX = {
+    TRACE_VERSION: re.compile(rb'\{"warp":(0|[1-9][0-9]*),'),
+    TRACE_VERSION_CHUNKED: re.compile(rb'\{"w":(0|[1-9][0-9]*),'),
+}
+_WARP_KEY = {TRACE_VERSION: b'"warp"', TRACE_VERSION_CHUNKED: b'"w"'}
+
+
+class _TraceIndex:
+    """Where each warp's blocks sit in a seekable trace file.
+
+    ``offsets[w]`` holds the byte offset of each of warp ``w``'s block
+    records (8 B per block), ``ended[w]`` whether the file ends the warp
+    (a v2 end marker, or v1's one record), and ``error`` the message a
+    warp that runs out of offsets without ending raises: the first bad
+    record, where indexing stopped, or else the truncation message.
+    That is the error a sequential read would have met first, so both
+    readers fail alike.  ``signature`` is the file's (size, mtime) when
+    indexed.
+    """
+
+    __slots__ = ("signature", "offsets", "ended", "error")
+
+    def __init__(
+        self,
+        signature: tuple,
+        offsets: List[array],
+        ended: List[bool],
+        error: Optional[str],
+    ) -> None:
+        self.signature = signature
+        self.offsets = offsets
+        self.ended = ended
+        self.error = error
+
+
+def _index_trace(
+    fh: IO[bytes], signature: tuple, num_warps: int, version: int, label: str
+) -> _TraceIndex:
+    """One binary pass over ``fh``, noting each warp's record offsets.
+
+    A line that starts with the writer's warp-id prefix, ends with
+    ``}`` and a newline, and holds no escape, no second warp key and
+    (v2) no ``"end"`` is indexed as a block of that warp undecoded;
+    any other line goes through :func:`_parse_record`, as the
+    sequential reader reads it.  So every format error surfaces as the
+    same message on both readers, and all but one kind at the same
+    pull: a line of the first kind that is not a valid record fails
+    only when its own warp reaches it.
+    """
+    offsets = [array("q") for _ in range(num_warps)]
+    ended = [False] * num_warps
+    prefix = _WARP_PREFIX[version]
+    key = _WARP_KEY[version]
+    chunked = version == TRACE_VERSION_CHUNKED
+    fh.seek(0)
+    pos = len(fh.readline())  # the header
+    error = None
+    for line in fh:
+        start = pos
+        pos += len(line)
+        match = prefix.match(line)
+        if (
+            match is not None
+            and line.endswith(b"}\n")
+            and int(match.group(1)) < num_warps
+            and b"\\" not in line
+            and line.find(key, match.end()) == -1
+            and not (chunked and b'"end"' in line)
+        ):
+            warp_id, is_block = int(match.group(1)), True
+        elif not line.strip():
+            continue
+        else:
+            try:
+                warp_id, block, _tenant = _parse_record(
+                    line, version, num_warps, label
                 )
-            return
-        missing = [w for w, ended in enumerate(self._ended) if not ended]
-        if missing:
-            raise TraceFormatError(
-                f"{self._label}: truncated stream — no end marker for "
-                f"warp(s) {missing[:8]}"
-            )
+            except TraceFormatError as exc:
+                error = str(exc)
+                break
+            is_block = block is not None
+        if ended[warp_id]:
+            continue
+        if is_block:
+            offsets[warp_id].append(start)
+        if not (is_block and chunked):
+            ended[warp_id] = True
+    else:
+        error = _truncation_error(ended, version, label)
+    return _TraceIndex(signature, offsets, ended, error)
+
+
+class _IndexedReader(_RecordReader):
+    """Seeks each warp to its own next record: a replay parks nothing.
+
+    All warps share one binary handle; a pull seeks to the warp's next
+    offset in the :class:`_TraceIndex` and decodes only that line, so
+    the reader holds the index and no decoded block.
+    """
+
+    def __init__(self, fh: IO[bytes], index: _TraceIndex, *args, **kwargs) -> None:
+        super().__init__(fh, *args, **kwargs)
+        self._index = index
+        self._next = [0] * self._num_warps
+
+    def pull(self, warp_id: int) -> Optional[Block]:
+        fh = self._fh
+        if fh is None:
+            return None
+        offsets = self._index.offsets[warp_id]
+        i = self._next[warp_id]
+        if i == len(offsets):
+            if not self._index.ended[warp_id]:
+                raise self._fail(self._index.error)
+            self._end(warp_id)
+            return None
+        self._next[warp_id] = i + 1
+        fh.seek(offsets[i])
+        return self._parse(fh.readline())[1]
 
 
 class FileTraceSource(TraceSource):
@@ -370,9 +531,13 @@ class FileTraceSource(TraceSource):
 
     Built from a path (re-streamable: each :meth:`streams` call reopens
     the file) or an already-open text stream such as stdin (single
-    shot).  Only the header is read at construction; warp records are
-    parsed incrementally as the streams are pulled, so peak memory is
-    bounded by parked blocks, not trace length.
+    shot).  Only the header is read at construction.  An uncompressed
+    path is replayed through a :class:`_TraceIndex` built by one binary
+    pass (and rebuilt if the file's size or mtime changes), so each
+    warp reads its own records and peak memory is one block per warp
+    plus 8 B of index per block.  Stdin, open handles and ``.gz`` files
+    go through the sequential :class:`_TraceDemux`, which parks the
+    blocks of warps that fall behind.
     """
 
     def __init__(
@@ -392,64 +557,74 @@ class FileTraceSource(TraceSource):
             self.label = label or getattr(path_or_fh, "name", "<stream>")
             self.meta, self.version = _read_header(path_or_fh, self.label)
         self.num_warps = self.meta.num_warps
+        self._index: Optional[_TraceIndex] = None
 
-    def streams(self) -> List[WarpStream]:
-        if self.path is not None:
-            fh = _open_for_read(self.path)
-            fh.readline()  # skip the header
-        else:
+    def _reader(self, streams: Optional[List[WarpStream]] = None) -> _RecordReader:
+        args = (self.num_warps, self.version, self.label, streams)
+        if self.path is None:
             fh, self._fh = self._fh, None
             if fh is None:
                 raise RuntimeError(
                     f"{self.label}: a stream-backed trace source can only "
                     "be streamed once"
                 )
+            return _TraceDemux(fh, *args)
+        if self.path.suffix != ".gz":
+            raw = open(self.path, "rb")
+            if raw.seekable():
+                st = os.fstat(raw.fileno())
+                signature = (st.st_size, st.st_mtime_ns)
+                if self._index is None or self._index.signature != signature:
+                    try:
+                        self._index = _index_trace(
+                            raw, signature, self.num_warps, self.version,
+                            self.label,
+                        )
+                    except BaseException:
+                        raw.close()
+                        raise
+                return _IndexedReader(raw, self._index, *args)
+            raw.close()
+        fh = _open_for_read(self.path)
+        fh.readline()  # skip the header
+        return _TraceDemux(fh, *args)
+
+    def streams(self) -> List[WarpStream]:
         streams = [WarpStream(w, None) for w in range(self.num_warps)]
         if self.version >= TRACE_VERSION_CHUNKED:
             # v2 end markers declare emptiness explicitly (a filtered
             # warp keeping its SM slot) — not a well-formedness problem.
             for stream in streams:
                 stream.allow_empty = True
-        demux = _TraceDemux(fh, self.num_warps, self.version, self.label, streams)
-
-        def block_iter(warp_id: int) -> Iterator[Block]:
-            while True:
-                block = demux.pull(warp_id)
-                if block is None:
-                    return
-                yield block
-
+        reader = self._reader(streams)
         for w, stream in enumerate(streams):
-            stream._blocks = block_iter(w)
+            stream._blocks = reader.blocks(w)
         return streams
 
     def blocks(self, warp_id: int) -> Iterator[Block]:
-        """One warp's blocks via a dedicated pass over the file.
+        """One warp's blocks on a handle of its own.
 
-        Correct but O(file) per warp — composition fallbacks use
-        :func:`materialize` instead; :meth:`streams` is the shared
-        single-pass path.
+        A seekable file reads only this warp's records through the
+        index; a ``.gz`` file makes a sequential pass, parking the other
+        warps' blocks.
         """
         if self.path is None:
             raise RuntimeError(
                 f"{self.label}: per-warp block iteration needs a seekable file"
             )
-        fh = _open_for_read(self.path)
-        fh.readline()
-        demux = _TraceDemux(fh, self.num_warps, self.version, self.label)
-        while True:
-            block = demux.pull(warp_id)
-            if block is None:
-                return
-            yield block
+        reader = self._reader()
+        try:
+            yield from reader.blocks(warp_id)
+        finally:
+            reader.close()
 
 
 class ChunkedTraceWriter:
     """Writes the chunked (v2) trace format to an open text stream.
 
-    Callers interleave :meth:`write_block` across warps (round-robin —
-    that interleave is what bounds a replaying reader's parking) and
-    close each warp's stream with :meth:`end_warp`.
+    Callers interleave :meth:`write_block` across warps (round-robin,
+    which keeps a sequential reader of a pipe near one round of parked
+    blocks) and close each warp's stream with :meth:`end_warp`.
     """
 
     def __init__(self, fh: IO[str], meta: TraceMeta) -> None:
@@ -500,9 +675,9 @@ def save_stream(
     """Spill a :class:`TraceSource` to a chunked (v2) trace file.
 
     Blocks are written round-robin across warps — one block per live
-    warp per round — so replaying the file parks at most one round of
-    blocks.  Peak memory is the source's own streaming state plus one
-    block per warp.
+    warp per round.  Peak memory is the source's own streaming state
+    plus one block per warp; replaying the file seeks each warp to its
+    own records and parks nothing.
     """
     path = Path(path)
     if source.num_warps != meta.num_warps:

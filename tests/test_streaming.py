@@ -31,6 +31,7 @@ from repro.workloads.source import (
     TraceSource,
     WarpStream,
     materialize,
+    round_robin,
 )
 from repro.workloads.trace import (
     FileTraceSource,
@@ -231,6 +232,29 @@ def test_truncated_v2_file_is_an_error(tmp_path):
     path.write_text("\n".join(lines[:-2]) + "\n")  # drop end markers
     with pytest.raises(TraceFormatError, match="no end marker"):
         materialize(FileTraceSource(path))
+
+
+@pytest.mark.parametrize(
+    "name,backing",
+    [("t.jsonl", "path"), ("t.jsonl.gz", "path"), ("t.jsonl", "handle")],
+)
+def test_consumed_source_closes_its_file(tmp_path, name, backing):
+    """A fully consumed source closes its file when the last warp
+    ends, although no pull reads past the last end marker."""
+    import gc
+    import warnings
+
+    path = tmp_path / name
+    save_stream(path, _meta(WARPS), _small_source("pagerank"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fh = open(path, encoding="utf-8") if backing == "handle" else None
+        source = FileTraceSource(path if fh is None else fh)
+        assert len(materialize(source)) == WARPS
+        assert fh is None or fh.closed
+        del source, fh
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_stdin_source_is_single_shot(tmp_path):
@@ -458,6 +482,44 @@ def test_streaming_peak_allocation_below_materialized():
     )
 
 
+def _spill_stream_scan(path, accesses, num_warps=32):
+    defn = get_workload_def("stream_scan")
+    cfg = default_config()
+    source = build_source(
+        defn,
+        defn.spec.scaled_footprint(cfg.scale_down),
+        num_warps=num_warps,
+        accesses_per_warp=accesses,
+        line_bytes=cfg.gpu.line_bytes,
+        page_bytes=cfg.hetero.page_bytes,
+        seed=7,
+    )
+    save_stream(path, _meta(num_warps, "stream_scan"), source)
+    return path
+
+
+def _replay_peak(path, warp_major_first=0):
+    """tracemalloc peak of replaying ``path`` with every warp holding
+    its current block, as the fused drain does: the first
+    ``warp_major_first`` warps are pulled to their end one by one, the
+    rest round-robin."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        held = {}
+        streams = FileTraceSource(path).streams()
+        for stream in streams[:warp_major_first]:
+            for block in iter(stream.next_block, None):
+                held[stream.warp_id] = block
+        for stream, block in round_robin(streams[warp_major_first:]):
+            held[stream.warp_id] = block
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_replay_peak_allocation_independent_of_trace_length(tmp_path):
     """A spilled trace replayed the way the fused drain consumes it —
     round-robin, every warp holding its current block — peaks at about
@@ -465,43 +527,24 @@ def test_replay_peak_allocation_independent_of_trace_length(tmp_path):
     O(warps x block) bound, not O(trace).  Draining one warp at a time
     (as the test above does) never holds every warp's block at once,
     so it cannot see a block size that grows with the trace."""
-    import tracemalloc
-
-    defn = get_workload_def("stream_scan")
-    cfg = default_config()
-
-    def replay_peak(accesses):
-        path = tmp_path / f"spill-{accesses}.jsonl"
-        source = build_source(
-            defn,
-            defn.spec.scaled_footprint(cfg.scale_down),
-            num_warps=32,
-            accesses_per_warp=accesses,
-            line_bytes=cfg.gpu.line_bytes,
-            page_bytes=cfg.hetero.page_bytes,
-            seed=7,
-        )
-        save_stream(path, _meta(32, "stream_scan"), source)
-        tracemalloc.start()
-        try:
-            held = {}
-            live = FileTraceSource(path).streams()
-            while live:
-                still = []
-                for stream in live:
-                    block = stream.next_block()
-                    held[stream.warp_id] = block
-                    if block is not None:
-                        still.append(stream)
-                live = still
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
-
-    short, long = replay_peak(256), replay_peak(4096)
+    short = _replay_peak(_spill_stream_scan(tmp_path / "s.jsonl", 256))
+    long = _replay_peak(_spill_stream_scan(tmp_path / "l.jsonl", 4096))
     assert long < 1.5 * short, (
         f"replay peak {long} B at 4096 accesses/warp vs {short} B at 256"
+    )
+
+
+def test_drift_order_replay_parks_nothing(tmp_path):
+    """Pulling warp 0 to its end before any other warp costs no more
+    than a round-robin pull: a file replay seeks each warp to its own
+    records instead of parking the other warps' blocks it reads past
+    (a sequential read parks all 31 x 16 of them here)."""
+    path = _spill_stream_scan(tmp_path / "spill.jsonl", 2048)
+    round_robin_peak = _replay_peak(path)
+    drift_peak = _replay_peak(path, warp_major_first=1)
+    assert drift_peak < 2 * round_robin_peak, (
+        f"warp-0-first replay peak {drift_peak} B vs round-robin "
+        f"{round_robin_peak} B"
     )
 
 

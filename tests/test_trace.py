@@ -2,9 +2,13 @@
 
 import gzip
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import MemoryMode
 from repro.harness.cache import job_fingerprint
@@ -15,8 +19,10 @@ from repro.harness.executor import (
     execute_job_recorded,
 )
 from repro.workloads.registry import get_workload_def
+from repro.workloads.source import round_robin
 from repro.workloads.synthetic import WarpTrace
 from repro.workloads.trace import (
+    FileTraceSource,
     TraceFormatError,
     TraceMeta,
     TraceRecorder,
@@ -224,3 +230,163 @@ class TestRecordReplay:
         # Same name, different recorded bytes -> different cache key.
         save_traces(path, meta_for(traces[:2]), traces[:2])
         assert job_fingerprint(job) != fp1
+
+
+# ---------------------------------------------------------------------------
+# Indexed file replay against the sequential demultiplexer
+# ---------------------------------------------------------------------------
+
+_OPS = st.tuples(
+    st.integers(min_value=-1, max_value=60),
+    st.integers(min_value=0, max_value=1 << 40),
+    st.booleans(),
+)
+_TENANTS = st.one_of(st.none(), st.sampled_from(["a", "b", "café"]))
+
+
+def _reorder(draw, record):
+    """The record with its keys in a drawn order (not the writer's)."""
+    if draw(st.booleans()):
+        return record
+    return {k: record[k] for k in draw(st.permutations(list(record)))}
+
+
+def _columns(block):
+    return (
+        [g for g, _, _ in block],
+        [a for _, a, _ in block],
+        [int(w) for _, _, w in block],
+    )
+
+
+@st.composite
+def _trace_files(draw):
+    """Header and record lines of a random v1 or v2 trace file."""
+    version = draw(st.sampled_from([1, 2]))
+    num_warps = draw(st.integers(min_value=1, max_value=5))
+    header = meta_for(range(num_warps)).to_dict(version=version)
+    records = []
+    if version == 1:
+        for w in draw(st.permutations(range(num_warps))):
+            g, a, wr = _columns(draw(st.lists(_OPS, max_size=6)))
+            records.append(_reorder(draw, {
+                "warp": w, "tenant": draw(_TENANTS),
+                "gaps": g, "addrs": a, "writes": wr,
+            }))
+    else:
+        pending = []
+        for w in range(num_warps):
+            # An empty block list is a warp `trace filter` emptied.
+            blocks = draw(st.lists(st.lists(_OPS, max_size=4), max_size=4))
+            tenant = draw(_TENANTS)
+            warp_records = []
+            for i, block in enumerate(blocks):
+                g, a, wr = _columns(block)
+                record = {"w": w, "g": g, "a": a, "wr": wr}
+                if i == 0 and tenant is not None:
+                    record["t"] = tenant
+                warp_records.append(record)
+            warp_records.append({"w": w, "end": 1})
+            pending.append(warp_records)
+        # Interleave the warps in a drawn order, not round-robin, so
+        # end markers land out of warp order.
+        while any(pending):
+            live = [q for q in pending if q]
+            queue = live[draw(st.integers(0, len(live) - 1))]
+            records.append(_reorder(draw, queue.pop(0)))
+    compact = draw(st.booleans())
+    separators = (",", ":") if compact else None
+    lines = [json.dumps(header, separators=(",", ":"))]
+    lines += [json.dumps(r, separators=separators) for r in records]
+    return num_warps, lines
+
+
+def _fault(draw, num_warps, lines):
+    """Apply one drawn fault (or none) to the record lines."""
+    kind = draw(st.sampled_from(
+        ["none", "drop_lines", "cut", "out_of_range", "corrupt"]
+    ))
+    body = lines[1:]
+    if kind == "none" or not body:
+        return "\n".join(lines) + "\n"
+    if kind == "drop_lines":
+        return "\n".join(lines[:draw(st.integers(1, len(body)))]) + "\n"
+    if kind == "cut":
+        text = "\n".join(body) + "\n"
+        return lines[0] + "\n" + text[:draw(st.integers(0, len(text) - 1))]
+    i = draw(st.integers(0, len(body) - 1))
+    if kind == "out_of_range":
+        record = json.loads(body[i])
+        key = "warp" if "warp" in record else "w"
+        record[key] = draw(st.sampled_from([-1, num_warps, num_warps + 7]))
+        body[i] = json.dumps(record, separators=(",", ":"))
+    else:
+        line = body[i]
+        body[i] = line[: draw(st.integers(1, len(line) - 1))]
+    return "\n".join([lines[0]] + body) + "\n"
+
+
+def _replay(source, order):
+    """Every stream consumed in ``order``: its blocks, tenants, declared
+    emptiness and problems, or the format error's message."""
+    try:
+        streams = source.streams()
+        blocks = {s.warp_id: [] for s in streams}
+        if order == "warp-major":
+            for stream in streams:
+                blocks[stream.warp_id] = list(iter(stream.next_block, None))
+        else:
+            for stream, block in round_robin(streams):
+                if block is not None:
+                    blocks[stream.warp_id].append(block)
+    except TraceFormatError as exc:
+        return ("error", str(exc))
+    return (
+        "ok", blocks,
+        [s.tenant for s in streams],
+        [s.allow_empty for s in streams],
+        [s.well_formed() for s in streams],
+    )
+
+
+class TestIndexedReplayOracle:
+    """A path-backed replay (per-warp offsets into the file) yields
+    what the sequential demultiplexer of an open handle yields: the
+    same blocks, tenants, declared emptiness and problems, or the same
+    ``TraceFormatError`` message."""
+
+    @given(
+        data=st.data(),
+        order=st.sampled_from(["warp-major", "round-robin"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_path_replay_matches_sequential_reader(self, data, order):
+        num_warps, lines = data.draw(_trace_files())
+        text = _fault(data.draw, num_warps, lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(pathlib.Path(tmp) / "t.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            indexed = _replay(FileTraceSource(path), order)
+            with open(path, encoding="utf-8") as fh:
+                sequential = _replay(FileTraceSource(fh), order)
+            assert indexed == sequential
+            if indexed[0] == "ok":
+                source = FileTraceSource(path)
+                for w, want in indexed[1].items():
+                    got = [b for b in source.blocks(w) if b[1]]
+                    assert got == [b for b in want if b[1]]
+
+    def test_indexed_replay_is_taken(self, tmp_path):
+        """An uncompressed path replays through the index."""
+        from repro.workloads.trace import _IndexedReader, _TraceDemux
+
+        traces = small_traces()
+        path = tmp_path / "t.jsonl"
+        save_traces(path, meta_for(traces), traces)
+        gz = tmp_path / "t.jsonl.gz"
+        save_traces(gz, meta_for(traces), traces)
+        for p, kind in ((path, _IndexedReader), (gz, _TraceDemux)):
+            reader = FileTraceSource(p)._reader()
+            reader.close()
+            assert isinstance(reader, kind)

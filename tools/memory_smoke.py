@@ -10,11 +10,13 @@ way CI can trust:
 3. replay each through ``FileTraceSource`` -> ``GpuModel`` in an
    isolated child process,
 4. assert the 10x replay's peak RSS stays under ``--ceiling`` (default
-   2.0) times the base replay's.
+   1.3) times the base replay's.
 
 A regression back to materialize-everything makes the 10x child hold
 ~1.3M decoded ops (hundreds of MB of Python lists) and blows the
 ceiling; the streamed replay holds one block per warp and doesn't.
+So does a reader that parks the blocks of warps that fall behind: a
+sequential replay of the 10x file parked enough to read 1.73.
 
 Run from the repo root:  PYTHONPATH=src python tools/memory_smoke.py
 """
@@ -90,9 +92,10 @@ def _write_base(path: Path) -> None:
 def _write_repeated(base: Path, out: Path, repeat: int) -> None:
     """Concatenate ``repeat`` streamed passes of ``base`` into ``out``.
 
-    Blocks stay round-robin interleaved within each pass so a replay
-    parks at most one round of blocks — same discipline as
-    ``save_stream``; end markers are written only after the final pass.
+    Blocks stay round-robin interleaved within each pass, as
+    ``save_stream`` writes them; end markers are written only after the
+    final pass.  The replay seeks each warp to its own records, so the
+    order costs it nothing either way.
     """
     from repro.workloads.trace import (
         ChunkedTraceWriter,
@@ -140,8 +143,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--ceiling",
         type=float,
-        default=2.0,
-        help="max allowed (10x peak RSS) / (base peak RSS) [default 2.0]",
+        default=1.3,
+        help="max allowed (10x peak RSS) / (base peak RSS) [default 1.3]",
     )
     parser.add_argument(
         "--report", metavar="PATH", default=None,
